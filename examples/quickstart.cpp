@@ -11,38 +11,32 @@
 
 #include <iostream>
 
-#include "cache/cache.hh"
-#include "mct/mct.hh"
+#include "mct/classifying_cache.hh"
 
 int
 main()
 {
     using namespace ccm;
 
-    CacheGeometry geom(16 * 1024, 1, 64);
-    Cache cache(geom);
-    MissClassificationTable mct(geom.numSets());
+    // 16 KB direct-mapped, 64 B lines, full-tag one-deep MCT.
+    ClassifyingCache l1(ClassifyConfig{16 * 1024, 1, 64});
+    const CacheGeometry &geom = l1.geometry();
 
     // Two addresses exactly one cache-size apart: same set, different
     // tags — the canonical conflict pair.
     const ByteAddr line_a{0x100040};
     const ByteAddr line_b = line_a.advancedBy(16 * 1024);
 
+    // One step: access; on a miss, classify with the MCT, fill with
+    // the conflict bit, and record the evicted tag — the MCT is only
+    // ever written with evicted tags, exactly as the hardware would.
     auto access = [&](const char *label, ByteAddr addr) {
-        if (cache.access(addr, false)) {
+        StepOutcome out = l1.access(addr, false);
+        if (out.hit)
             std::cout << label << ": hit\n";
-            return;
-        }
-        SetIndex set = geom.setOf(addr);
-        MissClass cls = mct.classify(set, geom.tagOf(addr));
-        std::cout << label << ": miss, classified "
-                  << toString(cls) << "\n";
-
-        // Fill, remembering the evicted tag exactly as the hardware
-        // would — the MCT is only ever written with evicted tags.
-        FillResult ev = cache.fill(addr, isConflict(cls), false);
-        if (ev.valid)
-            mct.recordEviction(set, geom.tagOf(ev.lineAddr));
+        else
+            std::cout << label << ": miss, classified "
+                      << toString(out.cls) << "\n";
     };
 
     access("A (cold)     ", line_a);  // capacity (compulsory)
@@ -51,6 +45,7 @@ main()
     access("B (again)    ", line_b);  // conflict
     access("A (again)    ", line_a);  // conflict
 
+    const MissClassificationTable &mct = l1.mct();
     std::cout << "\nMCT storage for this cache: "
               << mct.storageBits() / 8 << " bytes ("
               << geom.numSets() << " sets x "

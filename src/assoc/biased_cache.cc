@@ -78,6 +78,7 @@ BiasedAssocCache::access(ByteAddr addr, bool is_store)
     if (bias_applied)
         ++nOverrides;
 
+    // Fills the way chosen above, so not the ClassifyingCache step.
     FillResult ev = cache.fillWay(addr, way, out.wasConflict,
                                   is_store);
     if (ev.valid) {

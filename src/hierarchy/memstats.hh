@@ -184,6 +184,32 @@ struct MemStats
 };
 
 /**
+ * Classify-step counter sink (mct/classifying_cache.hh): tallies
+ * accesses, loads/stores, L1 hits/misses and the MCT's conflict /
+ * capacity split into a MemStats.
+ */
+struct MemStatsSink
+{
+    MemStats &st;
+
+    void
+    reference(bool is_store)
+    {
+        ++st.accesses;
+        ++(is_store ? st.stores : st.loads);
+    }
+
+    void hit() { ++st.l1Hits; }
+
+    void
+    miss(bool conflict)
+    {
+        ++st.l1Misses;
+        ++(conflict ? st.conflictMisses : st.capacityMisses);
+    }
+};
+
+/**
  * Per-set activity histograms harvested from the cache and the MCT at
  * the end of a run — the raw data behind the hotspot/heatmap section
  * of the stats JSON.  Empty vectors mean the run had no L1 in the

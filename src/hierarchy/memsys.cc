@@ -20,10 +20,10 @@ bankOf(const CacheGeometry &g, ByteAddr addr, unsigned banks)
 
 MemorySystem::MemorySystem(const MemSysConfig &config)
     : cfg(config),
-      l1Geom(config.l1Bytes, config.l1Assoc, config.lineBytes),
+      l1(ClassifyConfig{config.l1Bytes, config.l1Assoc,
+                        config.lineBytes, config.mctTagBits}),
       l2(CacheGeometry(config.l2Bytes, config.l2Assoc,
                        config.lineBytes)),
-      mct_(l1Geom.numSets(), config.mctTagBits),
       nextLine(config.lineBytes),
       mshrs(config.mshrs),
       banks(config.l1Banks),
@@ -33,9 +33,7 @@ MemorySystem::MemorySystem(const MemSysConfig &config)
 {
     if (cfg.mode == AssistMode::PseudoAssoc) {
         pseudo = std::make_unique<PseudoAssocCache>(
-            l1Geom, cfg.pseudoUseMct, cfg.mctTagBits);
-    } else {
-        l1 = std::make_unique<Cache>(l1Geom);
+            l1.geometry(), cfg.pseudoUseMct, cfg.mctTagBits);
     }
 
     if (hasBuffer())
@@ -139,13 +137,11 @@ MemorySystem::fillL1(ByteAddr addr, bool miss_is_conflict,
                      bool is_store, Cycle when,
                      bool allow_victim_fill)
 {
-    banks.acquireUnit(bankOf(l1Geom, addr, cfg.l1Banks), when, 1);
-    FillResult ev = l1->fill(addr, miss_is_conflict, is_store);
+    banks.acquireUnit(bankOf(l1.geometry(), addr, cfg.l1Banks), when,
+                      1);
+    FillResult ev = l1.fill(addr, miss_is_conflict, is_store);
     if (!ev.valid)
         return;
-
-    mct_.recordEviction(l1Geom.setOf(addr),
-                        l1Geom.tagOf(ev.lineAddr));
 
     bool to_buffer = false;
     if (allow_victim_fill) {
@@ -178,7 +174,7 @@ MemorySystem::issuePrefetch(LineAddr line_addr, Cycle start)
 void
 MemorySystem::issuePrefetchLine(LineAddr target, Cycle start)
 {
-    if (l1->probe(target.asByte()) || buf->find(target))
+    if (l1.cache().probe(target.asByte()) || buf->find(target))
         return;
     if (mshrs.inFlight(target))
         return;
@@ -204,11 +200,11 @@ MemorySystem::shouldExclude(ByteAddr pc, ByteAddr addr,
       case ExcludeAlgo::TysonPc:
         return pcTable->shouldBypass(pc);
       case ExcludeAlgo::Mat: {
-        const CacheLine *victim = l1->victimFor(addr);
+        const CacheLine *victim = l1.cache().victimFor(addr);
         if (!victim)
             return false;   // empty way: no one to protect
         LineAddr victim_line =
-            l1Geom.recompose(victim->tag, l1Geom.setOf(addr));
+            l1.geometry().recompose(victim->tag, l1.geometry().setOf(addr));
         return mat->shouldBypass(addr, victim_line);
       }
       case ExcludeAlgo::Capacity:
@@ -227,13 +223,13 @@ SetHistograms
 MemorySystem::setHistograms() const
 {
     SetHistograms h;
-    if (!l1)
+    if (pseudo)
         return h;   // pseudo-associative mode: no conventional L1
-    h.sets = l1Geom.numSets();
-    h.l1Misses = l1->setMissHistogram();
-    h.l1Evictions = l1->setEvictionHistogram();
-    h.mctLookups = mct_.setLookupHistogram();
-    h.mctConflicts = mct_.setConflictHistogram();
+    h.sets = l1.geometry().numSets();
+    h.l1Misses = l1.cache().setMissHistogram();
+    h.l1Evictions = l1.cache().setEvictionHistogram();
+    h.mctLookups = l1.mct().setLookupHistogram();
+    h.mctConflicts = l1.mct().setConflictHistogram();
     return h;
 }
 
@@ -254,7 +250,7 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
         mat->recordAccess(addr);
 
     AccessResult out;
-    unsigned bank = bankOf(l1Geom, addr, cfg.l1Banks);
+    unsigned bank = bankOf(l1.geometry(), addr, cfg.l1Banks);
     Cycle t0 = banks.acquireUnit(bank, now, 1);
 
     // The RPT is read and updated on *every* access (the structural
@@ -263,24 +259,24 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
     if (rpt)
         rpt_target = rpt->observe(pc, addr);
 
-    if (l1->access(addr, is_store)) {
+    if (l1.cache().access(addr, is_store)) {
         ++st.l1Hits;
         out.l1Hit = true;
         out.ready = t0 + cfg.l1HitLatency;
         if (pcTable)
             pcTable->recordOutcome(pc, false);
         if (rpt_target)
-            issuePrefetchLine(l1Geom.lineOf(*rpt_target), t0 + 1);
+            issuePrefetchLine(l1.geometry().lineOf(*rpt_target), t0 + 1);
         return out;
     }
 
     // ---- L1 miss ----------------------------------------------------
     ++st.l1Misses;
-    const LineAddr line = l1Geom.lineOf(addr);
-    const SetIndex set = l1Geom.setOf(addr);
-    const Tag tag = l1Geom.tagOf(addr);
+    const LineAddr line = l1.geometry().lineOf(addr);
+    const SetIndex set = l1.geometry().setOf(addr);
+    const Tag tag = l1.geometry().tagOf(addr);
 
-    const MissClass miss_class = mct_.classify(set, tag);
+    const MissClass miss_class = l1.mct().classify(set, tag);
     const bool is_conflict = isConflict(miss_class);
     out.missClass = miss_class;
     if (is_conflict)
@@ -307,7 +303,7 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
                 ++st.bufHitVictim;
                 bool swap = cfg.mode == AssistMode::VictimCache;
                 if (swap && cfg.victim.filterSwaps) {
-                    const CacheLine *cand = l1->victimFor(addr);
+                    const CacheLine *cand = l1.cache().victimFor(addr);
                     bool cand_bit = cand && cand->conflictBit;
                     if (filterSaysConflict(cfg.victim.filter,
                                            is_conflict, cand_bit))
@@ -326,10 +322,8 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
                     // last bufEntries evictions), so the promoted
                     // line's conflict bit is set even when the
                     // one-entry MCT has since been overwritten.
-                    FillResult ev = l1->fill(addr, true, dirty);
+                    FillResult ev = l1.fill(addr, true, dirty);
                     if (ev.valid) {
-                        mct_.recordEviction(set,
-                                            l1Geom.tagOf(ev.lineAddr));
                         ++st.victimFills;
                         bufferInsert(ev.lineAddr, BufSource::Victim,
                                      ev.conflictBit, ev.dirty, ready,
@@ -379,7 +373,7 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
                 if (chains)
                     issuePrefetch(line, port);
                 else if (rpt_target)
-                    issuePrefetchLine(l1Geom.lineOf(*rpt_target),
+                    issuePrefetchLine(l1.geometry().lineOf(*rpt_target),
                                       port);
                 break;
               }
@@ -404,7 +398,7 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
 
     // Capture the would-be victim's conflict bit before the fill so
     // the In/And/Or prefetch filters can see the eviction side.
-    const CacheLine *would_evict = l1->victimFor(addr);
+    const CacheLine *would_evict = l1.cache().victimFor(addr);
     const bool evicted_bit = would_evict && would_evict->conflictBit;
 
     auto fetched = fetchLine(line, t0 + 1, false);
@@ -416,8 +410,10 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
         ++st.excluded;
         bufferInsert(line, BufSource::Bypass, is_conflict, is_store,
                      ready, t0 + 1);
+        // §5.3 fix: remember the *incoming* tag, which never entered
+        // the cache, as if it had been evicted.
         if (cfg.exclude.mctInsertFix)
-            mct_.recordEviction(set, tag);
+            l1.mct().recordEviction(set, tag);
     } else {
         bool allow_victim =
             cfg.mode == AssistMode::VictimCache ||
@@ -439,7 +435,7 @@ MemorySystem::accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
             // speculative traffic queues behind demand traffic.
             issuePrefetch(line, t0 + 1);
         } else if (rpt_target) {
-            issuePrefetchLine(l1Geom.lineOf(*rpt_target), t0 + 1);
+            issuePrefetchLine(l1.geometry().lineOf(*rpt_target), t0 + 1);
         }
     } else if (cfg.mode == AssistMode::Amb &&
                cfg.amb.prefetchCapacity && !is_conflict) {
@@ -453,7 +449,7 @@ AccessResult
 MemorySystem::accessPseudo(ByteAddr addr, bool is_store, Cycle now)
 {
     AccessResult out;
-    unsigned bank = bankOf(l1Geom, addr, cfg.l1Banks);
+    unsigned bank = bankOf(l1.geometry(), addr, cfg.l1Banks);
     Cycle t0 = banks.acquireUnit(bank, now, 1);
 
     PseudoAccess res = pseudo->access(addr, is_store);
@@ -486,7 +482,7 @@ MemorySystem::accessPseudo(ByteAddr addr, bool is_store, Cycle now)
     out.missClass = res.wasConflict ? MissClass::Conflict
                                     : MissClass::Capacity;
     Cycle probe_done = t0 + cfg.l1HitLatency + cfg.pseudoSecondaryPenalty;
-    auto fetched = fetchLine(l1Geom.lineOf(addr), probe_done, false);
+    auto fetched = fetchLine(l1.geometry().lineOf(addr), probe_done, false);
     out.ready = *fetched;
     banks.acquireUnit(bank, probe_done, 1);  // the fill
     if (res.evictedValid && res.evictedDirty)

@@ -25,7 +25,7 @@
 #include "hierarchy/memstats.hh"
 #include "hierarchy/mshr.hh"
 #include "hierarchy/resource.hh"
-#include "mct/mct.hh"
+#include "mct/classifying_cache.hh"
 #include "prefetch/nextline.hh"
 #include "prefetch/rpt.hh"
 #include "pseudo/pseudo_cache.hh"
@@ -87,13 +87,16 @@ class MemorySystem
     const MemSysConfig &config() const { return cfg; }
 
     /** The L1 (null in pseudo-associative mode). */
-    const Cache *l1Cache() const { return l1.get(); }
+    const Cache *l1Cache() const
+    {
+        return pseudo ? nullptr : &l1.cache();
+    }
     const PseudoAssocCache *pseudoCache() const { return pseudo.get(); }
     const AssistBuffer *buffer() const { return buf.get(); }
-    const MissClassificationTable &mct() const { return mct_; }
+    const MissClassificationTable &mct() const { return l1.mct(); }
 
     /** Mutable MCT access for instrumentation (lookup hooks). */
-    MissClassificationTable &mct() { return mct_; }
+    MissClassificationTable &mct() { return l1.mct(); }
 
     /**
      * Per-set activity histograms (heatmap source).  Empty in
@@ -150,12 +153,10 @@ class MemorySystem
                               Cycle now);
 
     MemSysConfig cfg;
-    CacheGeometry l1Geom;
-
-    std::unique_ptr<Cache> l1;
+    /** The L1 and its MCT (the cache sits unused in pseudo mode). */
+    ClassifyingCache l1;
     std::unique_ptr<PseudoAssocCache> pseudo;
     Cache l2;
-    MissClassificationTable mct_;
     std::unique_ptr<AssistBuffer> buf;
     NextLinePrefetcher nextLine;
     std::unique_ptr<RptPrefetcher> rpt;

@@ -8,64 +8,12 @@
 #ifndef CCM_MCT_CLASSIFY_RUN_HH
 #define CCM_MCT_CLASSIFY_RUN_HH
 
-#include "cache/geometry.hh"
 #include "mct/accuracy.hh"
-#include "mct/mct.hh"
+#include "mct/classifying_cache.hh"
 #include "trace/source.hh"
 
 namespace ccm
 {
-
-/**
- * Per-reference observer for classification runs.  Implemented by the
- * obs layer (interval sampling, event tracing); classifyRun invokes
- * it in program order.  This is the only place MCT verdict and oracle
- * verdict are visible together, so oracle-agreement observability
- * hangs off it.
- */
-class ClassifyObserver
-{
-  public:
-    virtual ~ClassifyObserver() = default;
-
-    /** Every memory reference; @p miss is the real cache's outcome. */
-    virtual void onReference(bool miss) { (void)miss; }
-
-    /** Every miss, with both classifications. */
-    virtual void
-    onMiss(SetIndex set, Tag tag, MissClass mct, MissClass oracle)
-    {
-        (void)set;
-        (void)tag;
-        (void)mct;
-        (void)oracle;
-    }
-};
-
-/** Parameters of one classification run. */
-struct ClassifyConfig
-{
-    std::size_t cacheBytes = 16 * 1024;
-    unsigned assoc = 1;
-    unsigned lineBytes = 64;
-    /** Stored-tag width; 0 = full tag. */
-    unsigned mctTagBits = 0;
-    /**
-     * Evicted tags remembered per set.  1 = the paper's MCT; more
-     * implements the Stone/Pomerene shadow directory (§2/§3), which
-     * also identifies higher-order conflict misses.
-     */
-    unsigned mctDepth = 1;
-
-    /** Optional observer (not owned); nullptr = no observation. */
-    ClassifyObserver *observer = nullptr;
-
-    /**
-     * Optional lookup hook installed on the classifier table for the
-     * duration of the run (stored-tag-level event tracing).
-     */
-    MctLookupHook lookupHook;
-};
 
 /** Outcome of a classification run. */
 struct ClassifyResult

@@ -12,6 +12,10 @@
  * tag trades a little accuracy (false conflict matches) for storage;
  * the paper shows 8-12 bits is enough (Figure 2), and the Fig. 2 bench
  * in this repo sweeps exactly that parameter.
+ *
+ * Remembering more than one evicted tag per set turns the table into
+ * Stone's shadow directory, the MCT's k-deep generalization; the
+ * depth/accuracy trade-off is swept in bench/ablation_mct_depth.
  */
 
 #ifndef CCM_MCT_MCT_HH
@@ -32,9 +36,7 @@ namespace ccm
 
 /**
  * One MCT lookup, as seen by an attached classification event hook
- * (see MissClassificationTable::setLookupHook).  Oracle agreement is
- * not known at this layer; observers that also watch the oracle (the
- * obs-layer event trace) annotate it afterwards.
+ * (see MissClassificationTable::setLookupHook).
  */
 struct MctLookupEvent
 {
@@ -53,20 +55,31 @@ struct MctLookupEvent
  */
 using MctLookupHook = std::function<void(const MctLookupEvent &)>;
 
-/** Per-set table of most-recently-evicted tags. */
+/**
+ * Per-set table of the most recently evicted tags.
+ *
+ * Depth 1 (the default) is the paper's MCT: one entry per set.  A
+ * deeper table keeps each set's @c depth most recent evictions,
+ * LRU-ordered — Stone's shadow directory (after Pomerene, §2), which
+ * the paper mentions but does not evaluate (§3); a miss matching any
+ * of them is a conflict miss that depth extra ways would have caught.
+ */
 class MissClassificationTable
 {
   public:
     /**
-     * @param num_sets one entry per cache set
+     * @param num_sets one row per cache set
      * @param tag_bits how many low-order tag bits to store;
      *        0 means store the full tag
+     * @param depth evicted tags remembered per set (>= 1)
      */
     explicit MissClassificationTable(std::size_t num_sets,
-                                     unsigned tag_bits = 0);
+                                     unsigned tag_bits = 0,
+                                     unsigned depth = 1);
 
     /** Check the parameters the constructor would reject. */
-    static Status validate(std::size_t num_sets, unsigned tag_bits);
+    static Status validate(std::size_t num_sets, unsigned tag_bits,
+                           unsigned depth = 1);
 
     /**
      * Classify a miss to @p set with full tag @p tag.
@@ -77,15 +90,17 @@ class MissClassificationTable
     MissClass
     classify(SetIndex set, Tag tag) const
     {
-        const Entry &e = entries[set.value()];
-        bool conflict = e.valid && e.storedTag == maskTag(tag);
-        MissClass verdict =
+        const bool conflict = matchDepth(set, tag) != 0;
+        const MissClass verdict =
             conflict ? MissClass::Conflict : MissClass::Capacity;
         ++setLookups_[set.value()];
         if (conflict)
             ++setConflicts_[set.value()];
-        if (hook_)
-            hook_({set, e.storedTag, e.valid, tag, verdict});
+        if (hook_) {
+            // The depth-1 view of the row: its most recent eviction.
+            const Entry &front = row(set)[0];
+            hook_({set, front.storedTag, front.valid, tag, verdict});
+        }
         return verdict;
     }
 
@@ -97,33 +112,54 @@ class MissClassificationTable
     }
 
     /**
+     * Depth (1-based) at which @p tag matches in @p set, or 0 for no
+     * match — i.e. how many extra ways would have been needed.
+     */
+    unsigned
+    matchDepth(SetIndex set, Tag tag) const
+    {
+        const Entry *r = row(set);
+        const Addr t = maskTag(tag);
+        for (unsigned d = 0; d < depth_; ++d) {
+            if (r[d].valid && r[d].storedTag == t)
+                return d + 1;
+        }
+        return 0;
+    }
+
+    /**
      * Record that the line with full tag @p tag was evicted from
      * @p set (or, for the exclusion policy's modification in §5.3,
      * that it was diverted to the bypass buffer instead of being
-     * cached — same table update either way).
+     * cached — same table update either way).  The tag becomes the
+     * set's most recent eviction; one already remembered moves to
+     * the front instead of appearing twice.
      */
     void
     recordEviction(SetIndex set, Tag tag)
     {
-        Entry &e = entries[set.value()];
-        e.valid = true;
-        e.storedTag = maskTag(tag);
-    }
-
-    /** Drop the entry for @p set (e.g. after an invalidate). */
-    void
-    invalidateEntry(SetIndex set)
-    {
-        entries[set.value()].valid = false;
+        Entry *r = row(set);
+        const Addr t = maskTag(tag);
+        unsigned found = depth_ - 1;
+        for (unsigned d = 0; d + 1 < depth_; ++d) {
+            if (r[d].valid && r[d].storedTag == t) {
+                found = d;
+                break;
+            }
+        }
+        for (unsigned d = found; d > 0; --d)
+            r[d] = r[d - 1];
+        r[0].storedTag = t;
+        r[0].valid = true;
     }
 
     /** @return the stored-tag width in bits (0 = full tag). */
     unsigned tagBits() const { return tagBits_; }
 
-    std::size_t numSets() const { return entries.size(); }
+    std::size_t numSets() const { return setLookups_.size(); }
 
     /**
-     * Storage cost in bits: stored tag bits + a valid bit, per set.
+     * Storage cost in bits: stored tag bits + a valid bit, per entry.
      * (The optional per-line conflict bit is accounted by the cache.)
      */
     std::size_t
@@ -140,8 +176,9 @@ class MissClassificationTable
 
     /**
      * Attach @p hook, called on every classify() with the consulted
-     * entry and the verdict.  Pass nullptr/empty to detach.  Intended
-     * for the obs-layer event trace; keep the callback cheap.
+     * set's most recent entry and the verdict.  Pass nullptr/empty to
+     * detach.  Intended for the obs-layer event trace; keep the
+     * callback cheap.
      */
     void setLookupHook(MctLookupHook hook) { hook_ = std::move(hook); }
 
@@ -165,15 +202,21 @@ class MissClassificationTable
         bool valid = false;
     };
 
-    Addr
-    maskTag(Tag tag) const
+    Addr maskTag(Tag tag) const { return tag.value() & tagMask; }
+
+    /** @p set's row; index 0 is the most recent eviction. */
+    Entry *row(SetIndex set) { return &entries[set.value() * depth_]; }
+    const Entry *
+    row(SetIndex set) const
     {
-        return tagBits_ == 0 ? tag.value() : (tag.value() & tagMask);
+        return &entries[set.value() * depth_];
     }
 
-    std::vector<Entry> entries;
     unsigned tagBits_;
+    unsigned depth_;
     Addr tagMask;
+    /** sets x depth, row-major. */
+    std::vector<Entry> entries;
     MctLookupHook hook_;
     // Lookup-side statistics; mutable because classify() is logically
     // const (a pure lookup) but still counts itself.

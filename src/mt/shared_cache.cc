@@ -1,5 +1,7 @@
 #include "mt/shared_cache.hh"
 
+#include "mct/classifying_cache.hh"
+
 namespace ccm
 {
 
@@ -13,8 +15,8 @@ SharedCacheStudy::SharedCacheStudy(std::size_t cache_bytes,
 SharedCacheResult
 SharedCacheStudy::run(InterleavedTrace &trace)
 {
-    Cache cache(geom);
-    MissClassificationTable mct(geom.numSets());
+    ClassifyingCache l1(ClassifyConfig{
+        geom.sizeBytes(), geom.assoc(), geom.lineBytes()});
     // Which thread forced the most recent eviction in each set
     // (parallels the MCT entry).
     std::vector<unsigned> evictorThread(geom.numSets(), 0);
@@ -33,31 +35,25 @@ SharedCacheStudy::run(InterleavedTrace &trace)
         ++res.references;
 
         const ByteAddr addr = r.dataAddr();
-        if (cache.access(addr, r.isStore()))
+        const StepOutcome out = l1.access(addr, r.isStore());
+        if (out.hit)
             continue;
 
         ++ts.misses;
         ++res.misses;
-        const SetIndex set = geom.setOf(addr);
-        const Tag tag = geom.tagOf(addr);
-
-        bool conflict = mct.isConflictMiss(set, tag);
-        if (conflict) {
+        unsigned &evictor = evictorThread[geom.setOf(addr).value()];
+        if (out.conflict()) {
             ++ts.conflictMisses;
-            if (evictorThread[set.value()] != tid) {
+            if (evictor != tid) {
                 ++ts.crossThreadConflicts;
                 ++res.crossThreadConflicts;
             }
         }
-
-        FillResult ev = cache.fill(addr, conflict, r.isStore());
-        if (ev.valid) {
-            mct.recordEviction(set, geom.tagOf(ev.lineAddr));
-            // Remember who forced the line out: when its owner later
-            // re-misses on it (the MCT match), a different evictor
-            // marks the conflict as inter-thread interference.
-            evictorThread[set.value()] = tid;
-        }
+        // Remember who forced the line out: when its owner later
+        // re-misses on it (the MCT match), a different evictor marks
+        // the conflict as inter-thread interference.
+        if (out.evicted)
+            evictor = tid;
     }
     return res;
 }

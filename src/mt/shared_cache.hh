@@ -20,9 +20,8 @@
 
 #include <vector>
 
-#include "cache/cache.hh"
+#include "cache/geometry.hh"
 #include "common/stats.hh"
-#include "mct/mct.hh"
 #include "mt/interleave.hh"
 
 namespace ccm

@@ -1,14 +1,9 @@
 /**
  * @file
  * Classification event tracing: a rate-limitable recorder of
- * individual MCT lookups (set, stored tag, incoming tag, verdict,
- * oracle agreement when an oracle is present).  Off by default —
- * nothing in the hot path unless a trace is attached.
- *
- * The recorder plugs into MissClassificationTable/ShadowDirectory
- * lookup hooks for the table-side fields and (in classification runs)
- * into a ClassifyObserver for the oracle verdict, which is annotated
- * onto the most recently recorded event.
+ * individual MCT lookups (set, stored tag, incoming tag, verdict).
+ * Off by default — nothing in the hot path unless a trace is
+ * attached through MissClassificationTable::setLookupHook.
  */
 
 #ifndef CCM_OBS_EVENTS_HH
@@ -17,9 +12,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "mct/classify_run.hh"
+#include "common/types.hh"
 #include "mct/mct.hh"
-#include "obs/interval.hh"
 
 namespace ccm::obs
 {
@@ -36,23 +30,13 @@ struct EventTraceOptions
 /** One recorded classification event. */
 struct ClassifyEvent
 {
-    /** 1-based reference index when known, 0 otherwise. */
+    /** References completed before the lookup (noteReference calls). */
     Count ref = 0;
     std::size_t set = 0;
     Addr storedTag = 0;
     bool storedValid = false;
     Addr incomingTag = 0;
     MissClass verdict = MissClass::Capacity;
-    /** Oracle verdict, when an oracle was watching. */
-    bool oracleKnown = false;
-    MissClass oracle = MissClass::Capacity;
-
-    /** MCT/oracle agreement; meaningless unless oracleKnown. */
-    bool
-    agrees() const
-    {
-        return isConflict(verdict) == isConflict(oracle);
-    }
 };
 
 /** Bounded, rate-limited recorder of MCT lookup events. */
@@ -76,16 +60,6 @@ class ClassifyEventTrace
     /** Advance the reference index events are stamped with. */
     void noteReference() { ++refIndex; }
 
-    /** Attach the oracle verdict to the most recent recorded event. */
-    void
-    annotateOracle(MissClass oracle)
-    {
-        if (lastRecorded && !events_.empty()) {
-            events_.back().oracleKnown = true;
-            events_.back().oracle = oracle;
-        }
-    }
-
     const std::vector<ClassifyEvent> &events() const { return events_; }
 
     /** Total lookups observed (recorded or not). */
@@ -103,7 +77,6 @@ class ClassifyEventTrace
     onLookup(const MctLookupEvent &e)
     {
         ++seen_;
-        lastRecorded = false;
         if ((seen_ - 1) % opts.sampleEvery != 0)
             return;
         if (events_.size() >= opts.maxEvents)
@@ -117,62 +90,13 @@ class ClassifyEventTrace
         ev.verdict = e.verdict;
         events_.push_back(ev);
         ++recorded_;
-        lastRecorded = true;
     }
 
     EventTraceOptions opts;
     Count seen_ = 0;
     Count recorded_ = 0;
     Count refIndex = 0;
-    bool lastRecorded = false;
     std::vector<ClassifyEvent> events_;
-};
-
-/**
- * Ready-made ClassifyObserver wiring an IntervalSampler and/or an
- * event trace into classifyRun (either may be null):
- *
- *   IntervalSampler sampler(10'000);
- *   ClassifyEventTrace trace;
- *   ClassifyObservation watch(&sampler, &trace);
- *   cfg.observer = &watch;
- *   cfg.lookupHook = trace.hook();
- *   auto res = classifyRun(src, cfg);
- *   sampler.finishClassify();
- */
-class ClassifyObservation : public ClassifyObserver
-{
-  public:
-    ClassifyObservation(IntervalSampler *sampler,
-                        ClassifyEventTrace *trace)
-        : sampler_(sampler), trace_(trace)
-    {
-    }
-
-    void
-    onReference(bool miss) override
-    {
-        if (trace_)
-            trace_->noteReference();
-        if (sampler_) {
-            sampler_->onClassifiedReference(miss);
-            if (!miss)
-                sampler_->onClassifiedTick();
-        }
-    }
-
-    void
-    onMiss(SetIndex, Tag, MissClass mct, MissClass oracle) override
-    {
-        if (sampler_)
-            sampler_->onClassifiedMiss(mct, oracle);
-        if (trace_)
-            trace_->annotateOracle(oracle);
-    }
-
-  private:
-    IntervalSampler *sampler_;
-    ClassifyEventTrace *trace_;
 };
 
 } // namespace ccm::obs

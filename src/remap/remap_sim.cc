@@ -12,9 +12,7 @@ namespace ccm
 
 PageRemapSim::PageRemapSim(const RemapConfig &config)
     : cfg(config),
-      geom(config.cacheBytes, 1, config.lineBytes),
-      cache(geom),
-      mct(geom.numSets()),
+      l1(ClassifyConfig{config.cacheBytes, 1, config.lineBytes}),
       cml(config.pageBytes),
       numColors(static_cast<unsigned>(config.cacheBytes /
                                       config.pageBytes)),
@@ -111,18 +109,12 @@ PageRemapSim::run(TraceSource &trace)
                 continue;
             ++res.references;
 
-            ByteAddr paddr = translate(r.dataAddr());
-            if (!cache.access(paddr, r.isStore())) {
+            const StepOutcome out =
+                l1.access(translate(r.dataAddr()), r.isStore());
+            if (!out.hit) {
                 ++res.misses;
-                SetIndex set = geom.setOf(paddr);
-                bool conflict =
-                    mct.isConflictMiss(set, geom.tagOf(paddr));
-                if (conflict || !cfg.conflictOnly)
+                if (out.conflict() || !cfg.conflictOnly)
                     cml.recordMiss(r.dataAddr());
-                FillResult ev =
-                    cache.fill(paddr, conflict, r.isStore());
-                if (ev.valid)
-                    mct.recordEviction(set, geom.tagOf(ev.lineAddr));
             }
 
             if (++since_epoch >= cfg.epochRefs) {

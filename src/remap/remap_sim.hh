@@ -19,10 +19,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/cache.hh"
 #include "common/addr_types.hh"
 #include "common/types.hh"
-#include "mct/mct.hh"
+#include "mct/classifying_cache.hh"
 #include "remap/cml.hh"
 #include "trace/source.hh"
 
@@ -74,9 +73,8 @@ class PageRemapSim
     void pollAndRemap();
 
     RemapConfig cfg;
-    CacheGeometry geom;
-    Cache cache;
-    MissClassificationTable mct;
+    /** The direct-mapped cache + MCT, indexed by physical address. */
+    ClassifyingCache l1;
     CmlBuffer cml;
 
     unsigned numColors;

@@ -4,10 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "cache/cache.hh"
-#include "cache/geometry.hh"
 #include "common/random.hh"
-#include "mct/shadow.hh"
 
 namespace ccm::sample
 {
@@ -225,11 +222,7 @@ replayWindow(const MemRecord *records, std::size_t warm_begin,
              std::size_t count_begin, std::size_t end,
              const ShardedClassifyConfig &cache_cfg, MemStats &out)
 {
-    CacheGeometry geom(cache_cfg.cacheBytes, cache_cfg.assoc,
-                       cache_cfg.lineBytes);
-    Cache cache(geom);
-    ShadowDirectory mct(geom.numSets(), cache_cfg.mctDepth,
-                        cache_cfg.mctTagBits);
+    ClassifyingCache l1(cache_cfg);
 
     Count simulated = 0;
     for (std::size_t i = warm_begin; i < end; ++i) {
@@ -237,35 +230,10 @@ replayWindow(const MemRecord *records, std::size_t warm_begin,
         if (!r.isMem())
             continue;
         ++simulated;
-        const bool counted = i >= count_begin;
-
-        const ByteAddr addr = r.dataAddr();
-        const SetIndex set = geom.setOf(addr);
-        if (counted) {
-            ++out.accesses;
-            if (r.isStore())
-                ++out.stores;
-            else
-                ++out.loads;
-        }
-        if (cache.access(addr, r.isStore())) {
-            if (counted)
-                ++out.l1Hits;
-        } else {
-            const Tag tag = geom.tagOf(addr);
-            const MissClass cls = mct.classify(set, tag);
-            if (counted) {
-                ++out.l1Misses;
-                if (isConflict(cls))
-                    ++out.conflictMisses;
-                else
-                    ++out.capacityMisses;
-            }
-            FillResult ev =
-                cache.fill(addr, isConflict(cls), r.isStore());
-            if (ev.valid)
-                mct.recordEviction(set, geom.tagOf(ev.lineAddr));
-        }
+        if (i < count_begin)
+            l1.access(r.dataAddr(), r.isStore());
+        else
+            l1.access(r.dataAddr(), r.isStore(), MemStatsSink{out});
     }
     return simulated;
 }
@@ -308,9 +276,7 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
             "0 (no window signatures present)");
     if (cfg.k == 0)
         return Status::badConfig("interval count k must be >= 1");
-    Status geom_ok =
-        CacheGeometry::validate(cache_cfg.cacheBytes, cache_cfg.assoc,
-                                cache_cfg.lineBytes);
+    Status geom_ok = cache_cfg.validate();
     if (!geom_ok.isOk())
         return geom_ok.withContext("interval replay geometry");
     for (const WindowSignature &sig : mrc.windows) {
@@ -334,7 +300,7 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
     // when k == n — degenerate but exact).  Window 0 is always its
     // own singleton cluster: the cold-start window carries the
     // trace's first-touch misses (all classified capacity by an
-    // empty shadow directory), and averaging it into a steady-state
+    // empty MCT), and averaging it into a steady-state
     // cluster systematically underpredicts capacity misses.
     const std::vector<std::vector<double>> feat =
         windowFeatures(mrc);

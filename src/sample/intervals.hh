@@ -16,7 +16,7 @@
  * windows.
  *
  * Only the K representative windows are then replayed *exactly*
- * (Cache + ShadowDirectory, the same loop as sim/sharded.cc, with an
+ * (the ClassifyingCache step sim/sharded.cc also runs, with an
  * uncounted warmup prefix to populate the cold cache), and every
  * whole-trace classification counter is reconstructed as
  *

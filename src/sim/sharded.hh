@@ -6,11 +6,12 @@
  * A set-indexed cache never moves a line between sets, and the MCT is
  * likewise per-set state, so the classify pipeline factors exactly
  * along the set index: shard k simulates only the references whose
- * set satisfies set % K == k, against a private Cache + shadow
- * directory, and no other shard can observe or perturb it.  Every
- * shard scans the full record stream (the scan is cheap; simulation
- * is not) so that all shards agree on the global reference count that
- * drives interval-window boundaries.
+ * set satisfies set % K == k, against a private ClassifyingCache
+ * (cache + MCT), and no other shard can observe or perturb it.  Every
+ * shard scans and decodes the full record stream so that all shards
+ * agree on the global reference count that drives interval-window
+ * boundaries.  That scan is not cheap: K shards do K times the
+ * front-end work, which is why throughput does not scale with K.
  *
  * Merge contract (mirrors the suite runner's delivery contract,
  * docs/PERFORMANCE.md "Sharded classification"):
@@ -41,6 +42,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "hierarchy/memstats.hh"
+#include "mct/classifying_cache.hh"
 #include "obs/interval.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
@@ -48,17 +50,12 @@
 namespace ccm
 {
 
-/** Parameters of one sharded classification run. */
-struct ShardedClassifyConfig
+/**
+ * Parameters of one sharded classification run: the cache + MCT
+ * geometry, plus how to shard and sample it.
+ */
+struct ShardedClassifyConfig : ClassifyConfig
 {
-    std::size_t cacheBytes = 16 * 1024;
-    unsigned assoc = 1;
-    unsigned lineBytes = 64;
-    /** Stored-tag width; 0 = full tag. */
-    unsigned mctTagBits = 0;
-    /** Evicted tags remembered per set (1 = the paper's MCT). */
-    unsigned mctDepth = 1;
-
     /**
      * Shard count K.  0 and 1 both mean "run the worker inline on the
      * calling thread"; K > number of sets is allowed (the surplus
@@ -91,10 +88,7 @@ struct ShardedClassifyResult
     /** Per-set activity, summed across shards (disjoint by design). */
     SetHistograms heat;
 
-    /**
-     * Interval series (empty when cfg.interval == 0).  Oracle
-     * agreement is empty: the sharded path runs no oracle.
-     */
+    /** Interval series (empty when cfg.interval == 0). */
     std::vector<obs::IntervalSample> intervals;
 
     /** Window length the series was sampled at (cfg.interval). */
@@ -106,6 +100,8 @@ struct ShardedClassifyResult
 /**
  * Classify @p count records (all shards read the same span) on
  * cfg.shards workers.  The span must stay valid for the duration.
+ * Fatal, on the calling thread and before any worker starts, when
+ * cfg.validate() fails.
  */
 ShardedClassifyResult runShardedClassify(
     const MemRecord *records, std::size_t count,

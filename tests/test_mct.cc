@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the Miss Classification Table — the paper's core
- * mechanism — and the four conflict filters of §3.
+ * mechanism — at depth 1 and deeper (the shadow directory), and the
+ * four conflict filters of §3.
  */
 
 #include <gtest/gtest.h>
 
+#include "mct/classifying_cache.hh"
 #include "mct/mct.hh"
 
 namespace ccm
@@ -53,14 +55,6 @@ TEST(Mct, PaperScenario)
     mct.recordEviction(SetIndex{set}, Tag{tag_a});
     // A misses next: conflict.
     EXPECT_EQ(mct.classify(SetIndex{set}, Tag{tag_a}), MissClass::Conflict);
-}
-
-TEST(Mct, InvalidateEntryForgetsSet)
-{
-    MissClassificationTable mct(4);
-    mct.recordEviction(SetIndex{3}, Tag{0x9});
-    mct.invalidateEntry(SetIndex{3});
-    EXPECT_EQ(mct.classify(SetIndex{3}, Tag{0x9}), MissClass::Capacity);
 }
 
 TEST(Mct, ClearForgetsEverything)
@@ -134,6 +128,172 @@ TEST(MctDeath, ZeroSetsRejected)
 TEST(MctDeath, OversizedTagRejected)
 {
     EXPECT_DEATH(MissClassificationTable(4, 65), "out of range");
+}
+
+// ---- depth > 1: the shadow directory (§2/§3) ----------------------
+
+TEST(Shadow, DepthOneMatchesMctSemantics)
+{
+    MissClassificationTable sd(4, 0, 1);
+    EXPECT_EQ(sd.classify(SetIndex{0}, Tag{0x1}), MissClass::Capacity);
+    sd.recordEviction(SetIndex{0}, Tag{0x1});
+    EXPECT_EQ(sd.classify(SetIndex{0}, Tag{0x1}), MissClass::Conflict);
+    sd.recordEviction(SetIndex{0}, Tag{0x2});
+    EXPECT_EQ(sd.classify(SetIndex{0}, Tag{0x1}), MissClass::Capacity);
+    EXPECT_EQ(sd.classify(SetIndex{0}, Tag{0x2}), MissClass::Conflict);
+}
+
+TEST(Shadow, DeeperDirectoryRemembersMore)
+{
+    MissClassificationTable sd(4, 0, 3);
+    sd.recordEviction(SetIndex{0}, Tag{0x1});
+    sd.recordEviction(SetIndex{0}, Tag{0x2});
+    sd.recordEviction(SetIndex{0}, Tag{0x3});
+    EXPECT_TRUE(sd.isConflictMiss(SetIndex{0}, Tag{0x1}));
+    EXPECT_TRUE(sd.isConflictMiss(SetIndex{0}, Tag{0x2}));
+    EXPECT_TRUE(sd.isConflictMiss(SetIndex{0}, Tag{0x3}));
+    EXPECT_FALSE(sd.isConflictMiss(SetIndex{0}, Tag{0x4}));
+    // A fourth eviction pushes the oldest out.
+    sd.recordEviction(SetIndex{0}, Tag{0x4});
+    EXPECT_FALSE(sd.isConflictMiss(SetIndex{0}, Tag{0x1}));
+    EXPECT_TRUE(sd.isConflictMiss(SetIndex{0}, Tag{0x4}));
+}
+
+TEST(Shadow, MatchDepthReportsPosition)
+{
+    MissClassificationTable sd(2, 0, 4);
+    sd.recordEviction(SetIndex{1}, Tag{0xA});
+    sd.recordEviction(SetIndex{1}, Tag{0xB});
+    sd.recordEviction(SetIndex{1}, Tag{0xC});
+    EXPECT_EQ(sd.matchDepth(SetIndex{1}, Tag{0xC}), 1u);   // most recent
+    EXPECT_EQ(sd.matchDepth(SetIndex{1}, Tag{0xB}), 2u);
+    EXPECT_EQ(sd.matchDepth(SetIndex{1}, Tag{0xA}), 3u);
+    EXPECT_EQ(sd.matchDepth(SetIndex{1}, Tag{0xD}), 0u);
+    EXPECT_EQ(sd.matchDepth(SetIndex{0}, Tag{0xA}), 0u);   // other set
+}
+
+TEST(Shadow, ReEvictionMovesToFront)
+{
+    MissClassificationTable sd(1, 0, 3);
+    sd.recordEviction(SetIndex{0}, Tag{0x1});
+    sd.recordEviction(SetIndex{0}, Tag{0x2});
+    sd.recordEviction(SetIndex{0}, Tag{0x1});   // 0x1 re-evicted: front, no dup
+    EXPECT_EQ(sd.matchDepth(SetIndex{0}, Tag{0x1}), 1u);
+    EXPECT_EQ(sd.matchDepth(SetIndex{0}, Tag{0x2}), 2u);
+    // Room still for a third distinct tag.
+    sd.recordEviction(SetIndex{0}, Tag{0x3});
+    EXPECT_TRUE(sd.isConflictMiss(SetIndex{0}, Tag{0x2}));
+}
+
+TEST(Shadow, PartialTagsMask)
+{
+    MissClassificationTable sd(1, 4, 2);
+    sd.recordEviction(SetIndex{0}, Tag{0xAB});
+    EXPECT_TRUE(sd.isConflictMiss(SetIndex{0}, Tag{0xFB}));   // low nibble matches
+    EXPECT_FALSE(sd.isConflictMiss(SetIndex{0}, Tag{0xAC}));
+}
+
+TEST(Shadow, StorageBits)
+{
+    EXPECT_EQ(MissClassificationTable(256, 10, 2).storageBits(),
+              256u * 2u * 11u);
+    EXPECT_EQ(MissClassificationTable(4, 0, 1).storageBits(), 4u * 65u);
+}
+
+TEST(Shadow, ClearForgets)
+{
+    MissClassificationTable sd(2, 0, 2);
+    sd.recordEviction(SetIndex{0}, Tag{0x1});
+    sd.clear();
+    EXPECT_FALSE(sd.isConflictMiss(SetIndex{0}, Tag{0x1}));
+}
+
+TEST(Shadow, ValidateRejectsWithoutDying)
+{
+    EXPECT_TRUE(MissClassificationTable::validate(4, 12, 2).isOk());
+    EXPECT_EQ(MissClassificationTable::validate(0, 0, 1).code(),
+              ErrorCode::BadConfig);
+    EXPECT_EQ(MissClassificationTable::validate(4, 0, 0).code(),
+              ErrorCode::BadConfig);
+    EXPECT_EQ(MissClassificationTable::validate(4, 70, 1).code(),
+              ErrorCode::BadConfig);
+}
+
+TEST(ShadowDeath, BadParams)
+{
+    EXPECT_DEATH(MissClassificationTable(0, 0, 1), "at least one");
+    EXPECT_DEATH(MissClassificationTable(4, 0, 0), "depth");
+    EXPECT_DEATH(MissClassificationTable(4, 70, 1), "out of range");
+}
+
+/** Depth sweep: a cyclic pattern of k+1 tags in one set is fully
+ *  identified at depth k+... precisely, depth >= k. */
+class ShadowCycle : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(ShadowCycle, CycleOfDepthPlusOneTagsNeedsDepth)
+{
+    unsigned k = GetParam();   // cycle length
+    // Simulate a DM set receiving a round-robin of k distinct tags:
+    // each miss on tag t evicts the previous resident.
+    auto run = [&](unsigned depth) {
+        MissClassificationTable sd(1, 0, depth);
+        unsigned caught = 0, total = 0;
+        Addr resident = 0;     // tag currently "in the cache"
+        bool has_resident = false;
+        for (int i = 0; i < 100; ++i) {
+            Addr tag = 1 + (i % k);
+            if (has_resident && resident == tag)
+                continue;      // would be a hit
+            ++total;
+            if (i >= int(k) && sd.isConflictMiss(SetIndex{0}, Tag{tag}))
+                ++caught;
+            if (has_resident)
+                sd.recordEviction(SetIndex{0}, Tag{resident});
+            resident = tag;
+            has_resident = true;
+        }
+        return std::pair<unsigned, unsigned>(caught, total);
+    };
+
+    // Depth k-1 catches the whole cycle; depth k-2 catches none of
+    // it (each tag was evicted exactly k-1 evictions ago).
+    auto [caught_hi, total_hi] = run(k - 1);
+    EXPECT_GT(caught_hi, 80u);
+    (void)total_hi;
+    if (k >= 3) {
+        auto [caught_lo, total_lo] = run(k - 2);
+        (void)total_lo;
+        EXPECT_EQ(caught_lo, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(CycleLengths, ShadowCycle,
+                         ::testing::Values(2, 3, 4, 6, 8));
+
+// ---- ClassifyConfig: the geometry of a cache + MCT pair -----------
+
+TEST(ClassifyConfig, ValidateAcceptsThePaperGeometry)
+{
+    EXPECT_TRUE(ClassifyConfig{}.validate().isOk());
+    ClassifyConfig deep{32 * 1024, 4, 32, 12, 3};
+    EXPECT_TRUE(deep.validate().isOk());
+}
+
+TEST(ClassifyConfig, ValidateRejectsEachBadField)
+{
+    ClassifyConfig depth0;
+    depth0.mctDepth = 0;
+    EXPECT_EQ(depth0.validate().code(), ErrorCode::BadConfig);
+
+    ClassifyConfig wide_tag;
+    wide_tag.mctTagBits = 65;
+    EXPECT_EQ(wide_tag.validate().code(), ErrorCode::BadConfig);
+
+    ClassifyConfig odd_assoc; // 16KB / (3 * 64B) is not whole
+    odd_assoc.assoc = 3;
+    EXPECT_EQ(odd_assoc.validate().code(), ErrorCode::BadConfig);
 }
 
 // ---- conflict filters (§3) ----------------------------------------

@@ -86,6 +86,24 @@ expectSameResult(const ShardedClassifyResult &ref,
     }
 }
 
+TEST(ShardedClassifyDeath, BadGeometryFatalsOnTheCallingThread)
+{
+    // Checked once, before any worker exists: a bad geometry must not
+    // fatal once per shard thread.
+    VectorTrace trace("tiny", {});
+    trace.pushLoad(0);
+    ShardedClassifyConfig cfg = smallConfig(4);
+    cfg.mctDepth = 0;
+    EXPECT_DEATH(runShardedClassify(trace.records().data(),
+                                    trace.records().size(), cfg),
+                 "MCT depth must be >= 1");
+    cfg = smallConfig(4);
+    cfg.assoc = 3;
+    EXPECT_DEATH(runShardedClassify(trace.records().data(),
+                                    trace.records().size(), cfg),
+                 "not divisible");
+}
+
 TEST(ShardedClassify, EveryShardCountMatchesSequential)
 {
     auto wl = makeWorkload("gcc", 120'000, 7);

@@ -103,16 +103,6 @@ usage()
 int
 run(const Options &o)
 {
-    Expected<std::unique_ptr<TraceSource>> trace =
-        o.tracePath.empty()
-            ? makeWorkloadChecked(o.workload, o.refs, o.seed)
-            : openTraceMappedOrFile(o.tracePath, TraceReadOptions{});
-    if (!trace.ok()) {
-        CCM_LOG_ERROR(trace.status().toString());
-        return 1;
-    }
-    VectorTrace captured = VectorTrace::capture(*trace.value());
-
     sample::SampleRunConfig scfg;
     scfg.mrc.rate = o.rate;
     scfg.mrc.seed = o.seed;
@@ -130,6 +120,21 @@ run(const Options &o)
     scfg.classify.mctDepth = o.mctDepth;
     scfg.classify.mctTagBits = o.mctTagBits;
     scfg.compareExact = o.exact;
+    Status geom = scfg.classify.validate();
+    if (!geom.isOk()) {
+        CCM_LOG_ERROR(geom.toString());
+        return 1;
+    }
+
+    Expected<std::unique_ptr<TraceSource>> trace =
+        o.tracePath.empty()
+            ? makeWorkloadChecked(o.workload, o.refs, o.seed)
+            : openTraceMappedOrFile(o.tracePath, TraceReadOptions{});
+    if (!trace.ok()) {
+        CCM_LOG_ERROR(trace.status().toString());
+        return 1;
+    }
+    VectorTrace captured = VectorTrace::capture(*trace.value());
 
     auto rep = sample::runSampleAnalysis(captured.records().data(),
                                          captured.records().size(),

@@ -880,6 +880,11 @@ main(int argc, char **argv)
     }
 
     if (o.classify) {
+        Status geom = buildClassifyConfig(o).validate();
+        if (!geom.isOk()) {
+            CCM_LOG_ERROR(geom.toString());
+            return 1;
+        }
         const int rc = runClassifyMode(o);
         Status fs = obs::SpanTracer::global().flush();
         if (!fs.isOk())

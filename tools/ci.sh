@@ -36,6 +36,10 @@
 #      span tracing on (telemetry is strictly observational), the
 #      span file must be well-formed, and bench/telemetry_overhead
 #      must hold the classify hot-path overhead under its 2% budget
+#  12. benchmark self-test: perfbench/selftest.py builds the
+#      benchmark harness from this checkout and runs every workload
+#      at tiny sizes, so a src/ change that breaks the perfbench
+#      build or its digest checks fails CI
 #
 # Fails on the first nonzero step.  Steps that need a tool the
 # container lacks are skipped, not failed, and listed in the summary
@@ -309,6 +313,9 @@ grep -q '"ph": "X"' "$obs_tmp/spans.json"
 CCM_BENCH_JSON_DIR="$obs_tmp" build/bench/telemetry_overhead
 test -s "$obs_tmp/BENCH_telemetry.json"
 build/tools/ccm-report --check "$obs_tmp/BENCH_telemetry.json"
+
+step "benchmark self-test (perfbench/selftest.py)"
+python3 perfbench/selftest.py
 
 step "all green"
 if [ ${#skipped_steps[@]} -gt 0 ]; then
