@@ -93,10 +93,9 @@ measureDeliveryBatched(VectorTrace &trace)
     return bestRate(trace.size(), [&] {
         trace.reset();
         BatchReader reader(trace, maxTraceBatch);
-        MemRecord r;
         std::size_t sink = 0;
-        while (reader.next(r))
-            sink += r.isMem() ? 1 : 0;
+        while (const MemRecord *r = reader.next())
+            sink += r->isMem() ? 1 : 0;
         benchmark::DoNotOptimize(sink);
     });
 }
@@ -310,10 +309,9 @@ BM_TraceDelivery(benchmark::State &state)
     for (auto _ : state) {
         trace.reset();
         BatchReader reader(trace, batch);
-        MemRecord r;
         std::size_t sink = 0;
-        while (reader.next(r))
-            sink += r.isMem() ? 1 : 0;
+        while (const MemRecord *r = reader.next())
+            sink += r->isMem() ? 1 : 0;
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(

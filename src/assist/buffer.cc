@@ -40,32 +40,31 @@ AssistBuffer::recordHit(BufEntry &e)
     ++nHits[idx(e.source)];
 }
 
-BufEntry *
-AssistBuffer::victimSlot()
-{
-    BufEntry *victim = nullptr;
-    for (auto &e : slots) {
-        if (!e.valid)
-            return &e;
-        Count key = repl == BufRepl::Lru ? e.lastUse : e.insertedAt;
-        Count best = !victim ? 0
-                             : (repl == BufRepl::Lru
-                                    ? victim->lastUse
-                                    : victim->insertedAt);
-        if (!victim || key < best)
-            victim = &e;
-    }
-    return victim;
-}
-
 BufEvicted
 AssistBuffer::insert(LineAddr line_addr, BufSource source,
                      bool conflict_bit, bool dirty, Cycle ready)
 {
-    if (find(line_addr))
-        ccm_panic("AssistBuffer::insert of resident line");
+    // One scan: reject a resident line, and pick the first invalid
+    // slot, else the oldest stamp (LRU or FIFO).
+    BufEntry *free_slot = nullptr;
+    BufEntry *oldest = nullptr;
+    Count oldest_key = 0;
+    for (auto &e : slots) {
+        if (!e.valid) {
+            if (!free_slot)
+                free_slot = &e;
+            continue;
+        }
+        if (e.lineAddr == line_addr)
+            ccm_panic("AssistBuffer::insert of resident line");
+        Count key = repl == BufRepl::Lru ? e.lastUse : e.insertedAt;
+        if (!oldest || key < oldest_key) {
+            oldest = &e;
+            oldest_key = key;
+        }
+    }
 
-    BufEntry *slot = victimSlot();
+    BufEntry *slot = free_slot ? free_slot : oldest;
     BufEvicted out;
     if (slot->valid) {
         out.valid = true;

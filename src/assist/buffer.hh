@@ -125,7 +125,6 @@ class AssistBuffer
 
   private:
     static std::size_t idx(BufSource s) { return std::size_t(s); }
-    BufEntry *victimSlot();
 
     std::vector<BufEntry> slots;
     BufRepl repl;

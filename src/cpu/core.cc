@@ -15,17 +15,28 @@ Core::run(TraceSource &trace, MemorySystem &mem)
 {
     trace.reset();
 
-    // Pull records in batches: the per-record virtual next() call is
-    // the hottest dispatch in a timing run (docs/PERFORMANCE.md).
+    // Walk records in place, batch by batch: the per-record virtual
+    // next() call is the hottest dispatch in a timing run
+    // (docs/PERFORMANCE.md).
     BatchReader reader(trace);
+
+    // The config in locals: mem.access() is opaque to the optimizer,
+    // so members would be reloaded after every access.
+    const unsigned fetch_width = cfg.fetchWidth;
+    const unsigned retire_width = cfg.retireWidth;
+    const std::size_t rob_size = cfg.robSize;
+    const unsigned lsus = cfg.loadStoreUnits;
+    const unsigned wp_rate = cfg.wrongPathRate;
+    const unsigned wp_burst = cfg.wrongPathBurst;
 
     // Deterministic wrong-path generator (squashed speculative
     // loads; see CoreConfig::wrongPathRate).
     Pcg32 wp_rng(0xbadb07);
     Addr last_mem_addr = 0;
 
-    // Ring buffer of completion cycles: the reorder window.
-    std::vector<Cycle> rob(cfg.robSize, 0);
+    // Ring buffer of completion cycles: the reorder window.  Indices
+    // wrap by compare, not `%`: robSize is any positive value.
+    std::vector<Cycle> rob(rob_size, 0);
     std::size_t head = 0;
     std::size_t count = 0;
 
@@ -34,39 +45,40 @@ Core::run(TraceSource &trace, MemorySystem &mem)
     Count mem_refs = 0;
     Cycle last_load_complete = 0;
 
-    MemRecord rec;
-    bool have = reader.next(rec);
+    const MemRecord *rec = reader.next();
 
-    while (have || count > 0) {
+    while (rec || count > 0) {
         // In-order retire, up to retireWidth per cycle.
         unsigned retired = 0;
-        while (count > 0 && retired < cfg.retireWidth &&
-               rob[head] <= now) {
-            head = (head + 1) % cfg.robSize;
+        while (count > 0 && retired < retire_width && rob[head] <= now) {
+            if (++head == rob_size)
+                head = 0;
             --count;
             ++retired;
         }
 
         // Fetch/dispatch, bounded by width, window space, and
         // load/store units.
+        std::size_t tail = head + count;
+        if (tail >= rob_size)
+            tail -= rob_size;
         unsigned dispatched = 0;
         unsigned lsu_used = 0;
-        while (have && dispatched < cfg.fetchWidth &&
-               count < cfg.robSize) {
+        while (rec && dispatched < fetch_width && count < rob_size) {
             Cycle complete;
-            if (rec.isMem()) {
-                if (lsu_used >= cfg.loadStoreUnits)
+            if (rec->isMem()) {
+                if (lsu_used >= lsus)
                     break;
                 ++lsu_used;
                 Cycle issue = now;
-                if (rec.dependsOnPrevLoad)
+                if (rec->dependsOnPrevLoad)
                     issue = std::max(issue, last_load_complete);
                 AccessResult r = mem.access(
-                    rec.pcAddr(), rec.dataAddr(), rec.isStore(),
+                    rec->pcAddr(), rec->dataAddr(), rec->isStore(),
                     issue);
                 ++mem_refs;
-                last_mem_addr = rec.addr;
-                if (rec.isStore()) {
+                last_mem_addr = rec->addr;
+                if (rec->isStore()) {
                     // Store buffer: retire without waiting for data.
                     complete = now + 1;
                 } else {
@@ -79,29 +91,29 @@ Core::run(TraceSource &trace, MemorySystem &mem)
                 // speculative loads near the recent access region —
                 // they disturb the caches and the MCT but never
                 // enter the window.
-                if (cfg.wrongPathRate != 0 &&
-                    wp_rng.below(cfg.wrongPathRate) == 0) {
-                    for (unsigned w = 0; w < cfg.wrongPathBurst;
-                         ++w) {
+                if (wp_rate != 0 && wp_rng.below(wp_rate) == 0) {
+                    for (unsigned w = 0; w < wp_burst; ++w) {
                         Addr wild = last_mem_addr +
                                     (Addr(wp_rng.below(256)) -
                                      128) * 64;
-                        mem.access(ByteAddr{rec.pc ^ 0x4},
+                        mem.access(ByteAddr{rec->pc ^ 0x4},
                                    ByteAddr{wild}, false, now);
                     }
                 }
             }
-            rob[(head + count) % cfg.robSize] = complete;
+            rob[tail] = complete;
+            if (++tail == rob_size)
+                tail = 0;
             ++count;
             ++instrs;
             ++dispatched;
-            have = reader.next(rec);
+            rec = reader.next();
         }
 
         // Advance time; when the window is blocked, jump straight to
         // the head's completion instead of idling cycle by cycle.
         bool blocked = count > 0 && rob[head] > now &&
-                       (count == cfg.robSize || !have);
+                       (count == rob_size || !rec);
         if (blocked)
             now = rob[head];
         else

@@ -19,9 +19,9 @@ struct Context
     std::size_t head = 0;
     std::size_t count = 0;
     Cycle lastLoadComplete = 0;
-    MemRecord pending;        ///< next record to dispatch
-    bool havePending = false;
-    bool drained = false;
+    /** Next record to dispatch, in the context's reader; null once
+     *  the trace is drained. */
+    const MemRecord *pending = nullptr;
     Count instrs = 0;
 };
 
@@ -47,15 +47,15 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
     const std::size_t window = cfg.robSize / nThreads;
     std::vector<Context> ctx(nThreads);
     // One batch-buffered reader per hardware context (the contexts'
-    // traces are independent streams).
+    // traces are independent streams).  Reserved up front: pending
+    // records point into the readers.
     std::vector<BatchReader> readers;
     readers.reserve(nThreads);
     for (unsigned t = 0; t < nThreads; ++t) {
         ctx[t].rob.assign(window, 0);
         traces[t]->reset();
         readers.emplace_back(*traces[t]);
-        ctx[t].havePending = readers[t].next(ctx[t].pending);
-        ctx[t].drained = !ctx[t].havePending;
+        ctx[t].pending = readers[t].next();
     }
 
     Cycle now = cfg.pipelineFill;
@@ -63,7 +63,7 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
 
     auto all_done = [&]() {
         for (const auto &c : ctx) {
-            if (!c.drained || c.count > 0)
+            if (c.pending || c.count > 0)
                 return false;
         }
         return true;
@@ -77,7 +77,8 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
             Context &c = ctx[t];
             while (c.count > 0 && retired < cfg.retireWidth &&
                    c.rob[c.head] <= now) {
-                c.head = (c.head + 1) % window;
+                if (++c.head == window)
+                    c.head = 0;
                 --c.count;
                 ++retired;
             }
@@ -94,10 +95,10 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
         unsigned lsu_used = 0;
         for (unsigned t : order) {
             Context &c = ctx[t];
-            while (c.havePending && dispatched < cfg.fetchWidth &&
+            while (c.pending && dispatched < cfg.fetchWidth &&
                    c.count < window) {
                 Cycle complete;
-                MemRecord &rec = c.pending;
+                const MemRecord &rec = *c.pending;
                 if (rec.isMem()) {
                     if (lsu_used >= cfg.loadStoreUnits)
                         break;
@@ -117,13 +118,12 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
                 } else {
                     complete = now + 1;
                 }
-                c.rob[(c.head + c.count) % window] = complete;
+                std::size_t tail = c.head + c.count;
+                c.rob[tail < window ? tail : tail - window] = complete;
                 ++c.count;
                 ++c.instrs;
                 ++dispatched;
-                c.havePending = readers[t].next(c.pending);
-                if (!c.havePending)
-                    c.drained = true;
+                c.pending = readers[t].next();
             }
         }
 

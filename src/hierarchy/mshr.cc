@@ -22,10 +22,13 @@ MshrFile::MshrFile(unsigned entries) : cap(entries)
 }
 
 void
-MshrFile::expire(Cycle now)
+MshrFile::retireDue(Cycle now)
 {
     std::erase_if(active,
                   [now](const Entry &e) { return e.ready <= now; });
+    minReady = noneReady;
+    for (const auto &e : active)
+        minReady = std::min(minReady, e.ready);
 }
 
 std::optional<Cycle>
@@ -38,21 +41,13 @@ MshrFile::inFlight(LineAddr line_addr) const
     return std::nullopt;
 }
 
-Cycle
-MshrFile::earliestReady() const
-{
-    Cycle best = 0;
-    for (const auto &e : active)
-        best = best == 0 ? e.ready : std::min(best, e.ready);
-    return best;
-}
-
 void
 MshrFile::allocate(LineAddr line_addr, Cycle ready)
 {
     if (full())
         ccm_panic("MSHR allocate while full");
     active.push_back({line_addr, ready});
+    minReady = std::min(minReady, ready);
 }
 
 } // namespace ccm

@@ -11,6 +11,7 @@
 #ifndef CCM_HIERARCHY_MSHR_HH
 #define CCM_HIERARCHY_MSHR_HH
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -30,8 +31,16 @@ class MshrFile
     /** Check the parameters the constructor would reject. */
     static Status validate(unsigned entries);
 
-    /** Retire every entry whose fetch completed by @p now. */
-    void expire(Cycle now);
+    /**
+     * Retire every entry whose fetch completed by @p now.  Returns at
+     * once while @p now is below the earliest in-flight completion.
+     */
+    void
+    expire(Cycle now)
+    {
+        if (now >= minReady)
+            retireDue(now);
+    }
 
     /** @return the completion cycle of an in-flight fetch of
      *          @p line_addr, if one exists (a merge opportunity). */
@@ -41,7 +50,7 @@ class MshrFile
     bool full() const { return active.size() >= cap; }
 
     /** Earliest completion among active entries (0 if none). */
-    Cycle earliestReady() const;
+    Cycle earliestReady() const { return active.empty() ? 0 : minReady; }
 
     /** Track a new in-flight fetch completing at @p ready. */
     void allocate(LineAddr line_addr, Cycle ready);
@@ -49,7 +58,12 @@ class MshrFile
     std::size_t occupancy() const { return active.size(); }
     unsigned capacity() const { return cap; }
 
-    void clear() { active.clear(); }
+    void
+    clear()
+    {
+        active.clear();
+        minReady = noneReady;
+    }
 
   private:
     struct Entry
@@ -58,8 +72,15 @@ class MshrFile
         Cycle ready;
     };
 
+    static constexpr Cycle noneReady = std::numeric_limits<Cycle>::max();
+
+    /** Drop the entries due by @p now and recompute minReady. */
+    void retireDue(Cycle now);
+
     unsigned cap;
     std::vector<Entry> active;
+    /** Earliest ready among active entries; noneReady when empty. */
+    Cycle minReady = noneReady;
 };
 
 } // namespace ccm

@@ -7,9 +7,10 @@
  * per run; pulling them one virtual next() at a time makes the
  * indirect call and its branch the hottest instruction in the repo.
  * BatchReader pulls fixed-size batches through nextBatch() into a
- * local buffer and hands records out through a non-virtual inline
- * next(), so the virtual dispatch amortizes across ~256 records while
- * the record sequence stays exactly the one next() would produce.
+ * local buffer and hands out pointers into it through a non-virtual
+ * inline next(), so the virtual dispatch amortizes across ~256
+ * records, no record is copied a second time, and the record
+ * sequence stays exactly the one TraceSource::next() would produce.
  *
  * The batch size is a process-wide knob (default 256, env override
  * CCM_TRACE_BATCH, setTraceBatchSize() for benches/tests); 1 degrades
@@ -53,14 +54,17 @@ class BatchReader
     {
     }
 
-    /** Same sequence and semantics as TraceSource::next(). */
-    bool
-    next(MemRecord &out)
+    /**
+     * The next record in TraceSource::next() order, or nullptr at end
+     * of trace.  The pointer is into the current batch and stays
+     * valid until the following next().
+     */
+    const MemRecord *
+    next()
     {
         if (pos == count && !refill())
-            return false;
-        out = buf[pos++];
-        return true;
+            return nullptr;
+        return &buf[pos++];
     }
 
   private:

@@ -204,6 +204,18 @@ TEST(AssistBufferDeath, DoubleInsertPanics)
                  "resident");
 }
 
+TEST(AssistBufferDeath, DoubleInsertPanicsPastAFreeSlot)
+{
+    // The resident copy sits after a free slot: the insert scan must
+    // still see it rather than stop at the first free slot.
+    AssistBuffer b(3);
+    b.insert(LineAddr{0x40}, BufSource::Victim, false, false, 0);
+    b.insert(LineAddr{0x80}, BufSource::Victim, false, false, 0);
+    b.erase(LineAddr{0x40});
+    EXPECT_DEATH(b.insert(LineAddr{0x80}, BufSource::Victim, false, false, 0),
+                 "resident");
+}
+
 /** Paper sizes: 8 and 16 entries behave identically modulo capacity. */
 class AssistBufferSize : public ::testing::TestWithParam<unsigned>
 {

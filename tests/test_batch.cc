@@ -290,9 +290,8 @@ TEST(BatchReaderTest, DeliversIdenticalStream)
         t.reset();
         BatchReader reader(t, batch);
         std::vector<MemRecord> got;
-        MemRecord r;
-        while (reader.next(r))
-            got.push_back(r);
+        while (const MemRecord *r = reader.next())
+            got.push_back(*r);
         ASSERT_EQ(got.size(), ref.size()) << "batch " << batch;
         for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_TRUE(sameRecord(got[i], ref[i])) << "batch " << batch;

@@ -1,12 +1,21 @@
 /**
  * @file
  * Tests for the out-of-order core timing model: width limits, window
- * blocking, load/store unit limits, dependent-load serialization.
+ * blocking, load/store unit limits, dependent-load serialization, and
+ * a differential check of Core::run against a frozen reference loop
+ * over random core shapes, machines and trace delivery batch sizes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/random.hh"
 #include "cpu/core.hh"
+#include "sim/experiment.hh"
+#include "trace/batch_reader.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
@@ -182,6 +191,206 @@ TEST(Core, PipelineFillAddsStartupCycles)
     MemorySystem mem(fastMem());
     SimResult r = Core(cfg).run(t, mem);
     EXPECT_GE(r.cycles, cfg.pipelineFill);
+}
+
+// ---- Differential: Core::run vs a frozen reference loop ------------
+
+/**
+ * The core loop as first written: one record at a time through the
+ * virtual next(), `%` wrap on the window, config read in place.  Any
+ * rewrite of Core::run must reproduce it exactly.
+ */
+SimResult
+referenceRun(const CoreConfig &cfg, TraceSource &trace,
+             MemorySystem &mem)
+{
+    trace.reset();
+    Pcg32 wp_rng(0xbadb07);
+    Addr last_mem_addr = 0;
+    std::vector<Cycle> rob(cfg.robSize, 0);
+    std::size_t head = 0;
+    std::size_t count = 0;
+    Cycle now = cfg.pipelineFill;
+    Count instrs = 0;
+    Count mem_refs = 0;
+    Cycle last_load_complete = 0;
+
+    MemRecord rec;
+    bool have = trace.next(rec);
+    while (have || count > 0) {
+        unsigned retired = 0;
+        while (count > 0 && retired < cfg.retireWidth &&
+               rob[head] <= now) {
+            head = (head + 1) % cfg.robSize;
+            --count;
+            ++retired;
+        }
+        unsigned dispatched = 0;
+        unsigned lsu_used = 0;
+        while (have && dispatched < cfg.fetchWidth &&
+               count < cfg.robSize) {
+            Cycle complete;
+            if (rec.isMem()) {
+                if (lsu_used >= cfg.loadStoreUnits)
+                    break;
+                ++lsu_used;
+                Cycle issue = now;
+                if (rec.dependsOnPrevLoad)
+                    issue = std::max(issue, last_load_complete);
+                AccessResult r = mem.access(rec.pcAddr(), rec.dataAddr(),
+                                            rec.isStore(), issue);
+                ++mem_refs;
+                last_mem_addr = rec.addr;
+                if (rec.isStore()) {
+                    complete = now + 1;
+                } else {
+                    complete = r.ready;
+                    last_load_complete = r.ready;
+                }
+            } else {
+                complete = now + 1;
+                if (cfg.wrongPathRate != 0 &&
+                    wp_rng.below(cfg.wrongPathRate) == 0) {
+                    for (unsigned w = 0; w < cfg.wrongPathBurst; ++w) {
+                        Addr wild = last_mem_addr +
+                                    (Addr(wp_rng.below(256)) - 128) * 64;
+                        mem.access(ByteAddr{rec.pc ^ 0x4},
+                                   ByteAddr{wild}, false, now);
+                    }
+                }
+            }
+            rob[(head + count) % cfg.robSize] = complete;
+            ++count;
+            ++instrs;
+            ++dispatched;
+            have = trace.next(rec);
+        }
+        bool blocked = count > 0 && rob[head] > now &&
+                       (count == cfg.robSize || !have);
+        if (blocked)
+            now = rob[head];
+        else
+            ++now;
+    }
+
+    SimResult res;
+    res.cycles = now;
+    res.instructions = instrs;
+    res.memRefs = mem_refs;
+    res.ipc = res.cycles == 0
+                  ? 0.0
+                  : static_cast<double>(instrs) /
+                        static_cast<double>(res.cycles);
+    return res;
+}
+
+/** A VectorTrace whose nextBatch() hands out 1-3 records at a time. */
+class ShortBatchTrace : public TraceSource
+{
+  public:
+    explicit ShortBatchTrace(const VectorTrace &t) : inner(t) {}
+
+    bool next(MemRecord &out) override { return inner.next(out); }
+
+    std::size_t
+    nextBatch(MemRecord *out, std::size_t n) override
+    {
+        return inner.nextBatch(out, std::min<std::size_t>(
+                                        n, 1 + rng.below(3)));
+    }
+
+    void
+    reset() override
+    {
+        inner.reset();
+        rng = Pcg32(3);
+    }
+
+    std::string name() const override { return "short-batch"; }
+
+  private:
+    VectorTrace inner;
+    Pcg32 rng{3};
+};
+
+/** A random core shape; the first draws walk every ROB size. */
+CoreConfig
+drawCore(Pcg32 &rng, unsigned index)
+{
+    static const unsigned kRobSizes[] = {1, 7, 48, 64, 96};
+    CoreConfig c;
+    c.robSize = kRobSizes[index < 5 ? index : rng.below(5)];
+    c.fetchWidth = 1 + rng.below(8);
+    c.retireWidth = 1 + rng.below(8);
+    c.loadStoreUnits = 1 + rng.below(4);
+    c.wrongPathRate = rng.below(2) ? 50 : 0;
+    return c;
+}
+
+void
+expectSameRun(const SimResult &a, const MemStats &ma,
+              const SimResult &b, const MemStats &mb,
+              const std::string &where)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << where;
+    EXPECT_EQ(a.instructions, b.instructions) << where;
+    EXPECT_EQ(a.memRefs, b.memRefs) << where;
+    EXPECT_EQ(a.ipc, b.ipc) << where;
+    MemStats::forEachField([&](const char *name, Count MemStats::*f) {
+        EXPECT_EQ(ma.*f, mb.*f) << where << " mem." << name;
+    });
+}
+
+TEST(CoreDifferential, MatchesReferenceLoop)
+{
+    const std::vector<std::string> workloads = {
+        "compress", "gcc", "go", "tomcatv", "swim", "su2cor"};
+    const std::vector<std::pair<const char *, SystemConfig>> machines = {
+        {"baseline", baselineConfig()},
+        {"victim", victimConfig(true, true)},
+        {"amb", ambConfig(true, true, true)}};
+    const std::size_t saved_batch = traceBatchSize();
+
+    Pcg32 rng(2024);
+    int runs = 0;
+    for (unsigned k = 0; k < 8; ++k) {
+        const CoreConfig core = drawCore(rng, k);
+        for (const auto &wl : workloads) {
+            auto src = makeWorkload(wl, 3000, 11 + k);
+            ASSERT_TRUE(src) << wl;
+            VectorTrace trace = VectorTrace::capture(*src);
+            for (const auto &[mname, sys] : machines) {
+                const std::string where =
+                    wl + "/" + mname + " rob=" +
+                    std::to_string(core.robSize) +
+                    " fetch=" + std::to_string(core.fetchWidth) +
+                    " retire=" + std::to_string(core.retireWidth) +
+                    " lsu=" + std::to_string(core.loadStoreUnits) +
+                    " wp=" + std::to_string(core.wrongPathRate);
+                MemorySystem ref_mem(sys.mem);
+                SimResult ref = referenceRun(core, trace, ref_mem);
+
+                for (std::size_t batch : {1, 7, 256}) {
+                    setTraceBatchSize(batch);
+                    MemorySystem mem(sys.mem);
+                    SimResult got = Core(core).run(trace, mem);
+                    expectSameRun(got, mem.stats(), ref, ref_mem.stats(),
+                                  where + " batch=" +
+                                      std::to_string(batch));
+                    ++runs;
+                }
+                setTraceBatchSize(maxTraceBatch);
+                ShortBatchTrace shorty(trace);
+                MemorySystem mem(sys.mem);
+                SimResult got = Core(core).run(shorty, mem);
+                expectSameRun(got, mem.stats(), ref, ref_mem.stats(),
+                              where + " short batches");
+                ++runs;
+            }
+        }
+    }
+    setTraceBatchSize(saved_batch);
+    EXPECT_EQ(runs, 8 * 6 * 3 * 4);
 }
 
 } // namespace

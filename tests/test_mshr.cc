@@ -51,6 +51,54 @@ TEST(Mshr, FullAndEarliest)
     EXPECT_EQ(m.earliestReady(), 120u);
 }
 
+TEST(Mshr, OutOfOrderAllocationsExpireExactlyAtReady)
+{
+    // Allocation order differs from completion order; each entry
+    // must leave exactly when now reaches its own ready cycle.
+    MshrFile m(8);
+    const Cycle readies[] = {300, 100, 250, 120, 400, 180};
+    for (unsigned i = 0; i < 6; ++i)
+        m.allocate(LineAddr{0x40 * (i + 1)}, readies[i]);
+
+    const Cycle sorted[] = {100, 120, 180, 250, 300, 400};
+    for (unsigned k = 0; k < 6; ++k) {
+        EXPECT_EQ(m.earliestReady(), sorted[k]);
+        m.expire(sorted[k] - 1);
+        EXPECT_EQ(m.occupancy(), 6u - k) << "at " << sorted[k] - 1;
+        m.expire(sorted[k]);
+        EXPECT_EQ(m.occupancy(), 5u - k) << "at " << sorted[k];
+    }
+    EXPECT_EQ(m.earliestReady(), 0u);
+}
+
+TEST(Mshr, ExpireBeforeEarliestRemovesNothing)
+{
+    MshrFile m(4);
+    m.allocate(LineAddr{0x40}, 500);
+    m.allocate(LineAddr{0x80}, 200);
+    for (Cycle now : {0u, 1u, 150u, 199u}) {
+        m.expire(now);
+        EXPECT_EQ(m.occupancy(), 2u) << "at " << now;
+    }
+    // A later allocation with an earlier ready lowers the bound.
+    m.allocate(LineAddr{0xc0}, 90);
+    EXPECT_EQ(m.earliestReady(), 90u);
+    m.expire(89);
+    EXPECT_EQ(m.occupancy(), 3u);
+    m.expire(90);
+    EXPECT_EQ(m.occupancy(), 2u);
+    EXPECT_FALSE(m.inFlight(LineAddr{0xc0}).has_value());
+
+    // After clear the file behaves as new.
+    m.clear();
+    EXPECT_EQ(m.earliestReady(), 0u);
+    m.allocate(LineAddr{0x40}, 50);
+    m.expire(49);
+    EXPECT_EQ(m.occupancy(), 1u);
+    m.expire(50);
+    EXPECT_EQ(m.occupancy(), 0u);
+}
+
 TEST(Mshr, PaperCapacity)
 {
     MshrFile m(16);

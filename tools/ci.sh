@@ -22,9 +22,9 @@
 #   9. perf smoke: the micro_throughput hotpath table (writes
 #      BENCH_hotpath.json for comparison against bench/baselines/,
 #      which must carry the classify_sharded_e2e and mmap_ingest
-#      records/sec rows), plus batching determinism: a suite run with
-#      CCM_TRACE_BATCH=1 (record-at-a-time delivery) must be
-#      byte-identical to the default batched run
+#      records/sec rows), plus batching determinism: for every timing
+#      arch, a suite run with CCM_TRACE_BATCH=1 (record-at-a-time
+#      delivery) must be byte-identical to the default batched run
 #  10. serve smoke: ccm-serve with three concurrent producers, one of
 #      them wire-corrupted; the live stats document must validate,
 #      the clean streams must match batch ccm-sim byte for byte, and
@@ -198,18 +198,20 @@ grep -q '"mmap_ingest"' "$obs_tmp/BENCH_hotpath.json"
 # Batching determinism: batched delivery must not change a single
 # simulated byte.  CCM_TRACE_BATCH=1 restores record-at-a-time pulls;
 # its suite document must equal the default batched one exactly
-# (modulo wall time).
-step "batched vs unbatched determinism"
-build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
-    --stats-json "$obs_tmp/batched.json" > /dev/null
-CCM_TRACE_BATCH=1 \
-    build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
-    --stats-json "$obs_tmp/unbatched.json" > /dev/null
-if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/batched.json") \
-          <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/unbatched.json"); then
-    echo "FAIL: batched simulation output differs from unbatched" >&2
-    exit 1
-fi
+# (modulo wall time), on every timing arch.
+step "batched vs unbatched determinism (every timing arch)"
+for arch in baseline victim prefetch exclude pseudo amb; do
+    build/tools/ccm-sim --suite --refs 5000 --arch "$arch" --jobs 1 \
+        --stats-json "$obs_tmp/batched_$arch.json" > /dev/null
+    CCM_TRACE_BATCH=1 \
+        build/tools/ccm-sim --suite --refs 5000 --arch "$arch" --jobs 1 \
+        --stats-json "$obs_tmp/unbatched_$arch.json" > /dev/null
+    if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/batched_$arch.json") \
+              <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/unbatched_$arch.json"); then
+        echo "FAIL: batched $arch output differs from unbatched" >&2
+        exit 1
+    fi
+done
 
 step "serve smoke (ccm-serve + concurrent producers + drain)"
 serve_sock="$obs_tmp/ing.sock"
