@@ -151,7 +151,7 @@ measureClassifySharded(VectorTrace &trace, unsigned shards)
     return bestRate(trace.size(), [&] {
         ShardedClassifyResult res = runShardedClassify(
             trace.records().data(), trace.records().size(), cfg);
-        benchmark::DoNotOptimize(res.misses);
+        benchmark::DoNotOptimize(res.mem.l1Misses);
     });
 }
 

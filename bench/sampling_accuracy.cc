@@ -103,12 +103,12 @@ timeClassifySweep(const VectorTrace &trace,
         c.cacheBytes = cap;
         ShardedClassifyResult r = runShardedClassify(
             trace.records().data(), trace.records().size(), c);
-        if (r.references == 0)
+        if (r.mem.accesses == 0)
             std::cerr << "sweep produced no references?\n";
     }
     ShardedClassifyResult base = runShardedClassify(
         trace.records().data(), trace.records().size(), cfg.classify);
-    if (base.references == 0)
+    if (base.mem.accesses == 0)
         std::cerr << "base classify produced no references?\n";
     return seconds(t0);
 }

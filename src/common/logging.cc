@@ -7,23 +7,6 @@
 namespace ccm
 {
 
-namespace
-{
-
-thread_local int fatalThrowDepth = 0;
-
-} // namespace
-
-ScopedFatalThrow::ScopedFatalThrow()
-{
-    ++fatalThrowDepth;
-}
-
-ScopedFatalThrow::~ScopedFatalThrow()
-{
-    --fatalThrowDepth;
-}
-
 namespace detail
 {
 
@@ -41,8 +24,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    if (fatalThrowDepth > 0)
-        throw FatalError(msg);
     logWrite(LogLevel::Error, concat("fatal: ", msg, " @ ", file, ":",
                                      line));
     std::exit(1);

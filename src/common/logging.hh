@@ -8,40 +8,10 @@
 #define CCM_COMMON_LOGGING_HH
 
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 namespace ccm
 {
-
-/**
- * Thrown instead of exiting when a ScopedFatalThrow is active, so a
- * harness sweeping many runs can record one run's fatal error and
- * carry on with the rest.
- */
-class FatalError : public std::runtime_error
-{
-  public:
-    explicit FatalError(const std::string &msg)
-        : std::runtime_error(msg)
-    {}
-};
-
-/**
- * While an instance is alive, ccm_fatal throws FatalError rather than
- * calling std::exit, making user-input errors recoverable for the
- * duration of a guarded region (e.g. one row of a suite sweep).
- * Nests; ccm_panic (simulator bugs) still aborts.
- */
-class ScopedFatalThrow
-{
-  public:
-    ScopedFatalThrow();
-    ~ScopedFatalThrow();
-
-    ScopedFatalThrow(const ScopedFatalThrow &) = delete;
-    ScopedFatalThrow &operator=(const ScopedFatalThrow &) = delete;
-};
 
 namespace detail
 {

@@ -11,6 +11,7 @@
 #include <cstddef>
 
 #include "assist/buffer.hh"
+#include "common/status.hh"
 #include "common/types.hh"
 #include "mct/miss_class.hh"
 
@@ -135,6 +136,13 @@ struct MemSysConfig
     PrefetchPolicy prefetch;
     ExcludePolicy exclude;
     AmbPolicy amb;
+
+    /**
+     * Everything the MemorySystem constructor would reject: the L1
+     * and its MCT, the L2, the MSHR file, and the assist structures
+     * the selected mode builds.
+     */
+    Status validate() const;
 };
 
 } // namespace ccm

@@ -16,10 +16,52 @@ bankOf(const CacheGeometry &g, ByteAddr addr, unsigned banks)
                                  (banks - 1));
 }
 
+bool
+usesBuffer(AssistMode mode)
+{
+    switch (mode) {
+      case AssistMode::VictimCache:
+      case AssistMode::PrefetchBuffer:
+      case AssistMode::BypassBuffer:
+      case AssistMode::Amb:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** @p config itself, once validate() has accepted it. */
+const MemSysConfig &
+checked(const MemSysConfig &config)
+{
+    fatalIfError(config.validate());
+    return config;
+}
+
 } // namespace
 
+Status
+MemSysConfig::validate() const
+{
+    Status s = ClassifyConfig{l1Bytes, l1Assoc, lineBytes, mctTagBits}
+                   .validate();
+    if (s.isOk())
+        s = CacheGeometry::validate(l2Bytes, l2Assoc, lineBytes);
+    if (s.isOk())
+        s = MshrFile::validate(mshrs);
+    if (s.isOk() && usesBuffer(mode))
+        s = AssistBuffer::validate(bufEntries);
+    if (s.isOk() && mode == AssistMode::PrefetchBuffer &&
+        prefetch.kind == PrefetchKind::Rpt)
+        s = RptPrefetcher::validate(prefetch.rptEntries);
+    if (s.isOk() && mode == AssistMode::PseudoAssoc)
+        s = PseudoAssocCache::validate(
+            CacheGeometry(l1Bytes, l1Assoc, lineBytes));
+    return s;
+}
+
 MemorySystem::MemorySystem(const MemSysConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       l1(ClassifyConfig{config.l1Bytes, config.l1Assoc,
                         config.lineBytes, config.mctTagBits}),
       l2(CacheGeometry(config.l2Bytes, config.l2Assoc,
@@ -36,7 +78,7 @@ MemorySystem::MemorySystem(const MemSysConfig &config)
             l1.geometry(), cfg.pseudoUseMct, cfg.mctTagBits);
     }
 
-    if (hasBuffer())
+    if (usesBuffer(cfg.mode))
         buf = std::make_unique<AssistBuffer>(cfg.bufEntries,
                                              cfg.bufRepl);
 
@@ -54,20 +96,6 @@ MemorySystem::MemorySystem(const MemSysConfig &config)
             cfg.exclude.algo == ExcludeAlgo::ConflictHistory) {
             history = std::make_unique<MissHistoryTable>();
         }
-    }
-}
-
-bool
-MemorySystem::hasBuffer() const
-{
-    switch (cfg.mode) {
-      case AssistMode::VictimCache:
-      case AssistMode::PrefetchBuffer:
-      case AssistMode::BypassBuffer:
-      case AssistMode::Amb:
-        return true;
-      default:
-        return false;
     }
 }
 

@@ -57,6 +57,7 @@ using MemAccessHook =
 class MemorySystem
 {
   public:
+    /** Fatal on an invalid @p config; check config.validate() first. */
     explicit MemorySystem(const MemSysConfig &config);
 
     /**
@@ -107,7 +108,6 @@ class MemorySystem
   private:
     AccessResult accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
                             Cycle now);
-    bool hasBuffer() const;
 
     /**
      * Fetch a line from L2/memory through the MSHRs and bus.

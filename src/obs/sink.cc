@@ -208,12 +208,6 @@ eventsToJson(const ClassifyEventTrace &trace)
         row.set("verdict", JsonValue::str(toString(e.verdict)));
         list.push(std::move(row));
     }
-    // No event path runs an oracle, so nothing is ever compared with
-    // one; the block stays for schema compatibility.
-    JsonValue agreement = JsonValue::object();
-    agreement.set("with_oracle", JsonValue::uint(0));
-    agreement.set("agreeing", JsonValue::uint(0));
-    v.set("agreement", std::move(agreement));
     v.set("events", std::move(list));
     return v;
 }
@@ -233,20 +227,30 @@ documentHeader(const char *kind)
     return doc;
 }
 
-void
-fillRunBody(JsonValue &doc, const std::string &workload,
-            const RunOutput &out, const IntervalSampler *intervals,
-            const ClassifyEventTrace *events)
+/** Start a run document: header, workload and (timed runs) sim. */
+JsonValue
+runHeader(const std::string &workload, const SimResult *sim)
 {
+    JsonValue doc = documentHeader("run");
     doc.set("workload", JsonValue::str(workload));
-    doc.set("sim", simResultToJson(out.sim));
-    doc.set("mem", memStatsToJson(out.mem));
-    if (!out.heat.empty())
-        doc.set("heatmap", setHistogramsToJson(out.heat));
-    if (intervals && !intervals->samples().empty())
-        doc.set("intervals", intervalsToJson(*intervals));
-    if (events && events->seen() > 0)
-        doc.set("events", eventsToJson(*events));
+    if (sim)
+        doc.set("sim", simResultToJson(*sim));
+    return doc;
+}
+
+void
+setMemAndHeat(JsonValue &doc, const MemStats &mem,
+              const SetHistograms &heat)
+{
+    doc.set("mem", memStatsToJson(mem));
+    if (!heat.empty())
+        doc.set("heatmap", setHistogramsToJson(heat));
+}
+
+bool
+isHeaderKey(const std::string &key)
+{
+    return key == "schema" || key == "schema_version" || key == "kind";
 }
 
 } // namespace
@@ -256,16 +260,30 @@ runDocument(const std::string &workload, const RunOutput &out,
             const IntervalSampler *intervals,
             const ClassifyEventTrace *events)
 {
-    JsonValue doc = documentHeader("run");
-    fillRunBody(doc, workload, out, intervals, events);
+    JsonValue doc = runHeader(workload, &out.sim);
+    setMemAndHeat(doc, out.mem, out.heat);
+    if (intervals && !intervals->samples().empty())
+        doc.set("intervals", intervalsToJson(*intervals));
+    if (events && events->seen() > 0)
+        doc.set("events", eventsToJson(*events));
     return doc;
 }
 
 JsonValue
-suiteDocument(
-    const SuiteReport &report,
-    const std::function<const IntervalSampler *(const std::string &)>
-        &intervals_for)
+runDocument(const std::string &workload,
+            const ShardedClassifyResult &out)
+{
+    JsonValue doc = runHeader(workload, nullptr);
+    setMemAndHeat(doc, out.mem, out.heat);
+    if (!out.intervals.empty())
+        doc.set("intervals",
+                intervalSamplesToJson(out.interval, out.intervals));
+    return doc;
+}
+
+JsonValue
+suiteDocument(const SuiteReport &report,
+              const std::function<JsonValue(const SuiteRow &)> &run_doc)
 {
     JsonValue doc = documentHeader("suite");
     JsonValue rows = JsonValue::array();
@@ -273,9 +291,12 @@ suiteDocument(
     for (const SuiteRow &r : report.rows) {
         JsonValue row = JsonValue::object();
         if (r.ok()) {
-            const IntervalSampler *iv =
-                intervals_for ? intervals_for(r.workload) : nullptr;
-            fillRunBody(row, r.workload, r.out, iv, nullptr);
+            const JsonValue run =
+                run_doc ? run_doc(r) : runDocument(r.workload, r.out);
+            for (const auto &[key, value] : run.members()) {
+                if (!isHeaderKey(key))
+                    row.set(key, value);
+            }
         } else {
             row.set("workload", JsonValue::str(r.workload));
             row.set("error", JsonValue::str(r.status.toString()));
@@ -290,82 +311,6 @@ suiteDocument(
     JsonValue summary = JsonValue::object();
     summary.set("runs", JsonValue::uint(report.rows.size()));
     summary.set("errored", JsonValue::uint(report.failures()));
-    summary.set("wall_seconds_total", JsonValue::real(wall_total));
-    doc.set("summary", std::move(summary));
-    return doc;
-}
-
-namespace
-{
-
-/** Shared body of kind:"classify" docs and classify-suite rows. */
-void
-fillClassifyBody(JsonValue &doc, const std::string &workload,
-                 const ShardedClassifyResult &out)
-{
-    doc.set("workload", JsonValue::str(workload));
-    JsonValue cls = JsonValue::object();
-    cls.set("references", JsonValue::uint(out.references));
-    cls.set("misses", JsonValue::uint(out.misses));
-    cls.set("miss_rate_pct", JsonValue::real(out.missRate * 100.0));
-    doc.set("classify", std::move(cls));
-    doc.set("mem", memStatsToJson(out.mem));
-    if (!out.heat.empty())
-        doc.set("heatmap", setHistogramsToJson(out.heat));
-    if (!out.intervals.empty())
-        doc.set("intervals",
-                intervalSamplesToJson(out.interval, out.intervals));
-}
-
-} // namespace
-
-JsonValue
-classifyDocument(const std::string &workload,
-                 const ShardedClassifyResult &out)
-{
-    JsonValue doc = documentHeader("classify");
-    fillClassifyBody(doc, workload, out);
-    return doc;
-}
-
-JsonValue
-classifySuiteDocument(const std::vector<ClassifyRow> &rows)
-{
-    JsonValue doc = documentHeader("classify-suite");
-    JsonValue out_rows = JsonValue::array();
-    double wall_total = 0.0;
-    for (const ClassifyRow &r : rows) {
-        JsonValue row = JsonValue::object();
-        if (r.ok()) {
-            fillClassifyBody(row, r.workload, r.out);
-        } else {
-            row.set("workload", JsonValue::str(r.workload));
-            row.set("error", JsonValue::str(r.status.toString()));
-        }
-        // As in suite documents: wall_seconds is nondeterministic
-        // (ci strips it before byte-diffs), and so is the throughput
-        // derived from it — the same records_per_sec metric the BENCH
-        // documents report, so suite and bench outputs agree.
-        row.set("wall_seconds", JsonValue::real(r.wallSeconds));
-        if (r.ok()) {
-            const double rps =
-                r.wallSeconds > 0.0
-                    ? static_cast<double>(r.out.references) /
-                          r.wallSeconds
-                    : 0.0;
-            row.set("records_per_sec", JsonValue::real(rps));
-        }
-        wall_total += r.wallSeconds;
-        out_rows.push(std::move(row));
-    }
-    doc.set("rows", std::move(out_rows));
-    JsonValue summary = JsonValue::object();
-    summary.set("runs", JsonValue::uint(rows.size()));
-    std::uint64_t errored = 0;
-    for (const ClassifyRow &r : rows)
-        if (!r.ok())
-            ++errored;
-    summary.set("errored", JsonValue::uint(errored));
     summary.set("wall_seconds_total", JsonValue::real(wall_total));
     doc.set("summary", std::move(summary));
     return doc;
@@ -791,24 +736,6 @@ checkRunBody(const JsonValue &doc)
     return Status::ok();
 }
 
-/** Run-body invariants plus the classify summary block. */
-Status
-checkClassifyBody(const JsonValue &doc)
-{
-    Status s = checkRunBody(doc);
-    if (!s.isOk())
-        return s;
-    const JsonValue &cls = doc.at("classify");
-    if (!cls.isObject())
-        return Status::badConfig("missing classify section");
-    for (const char *key : {"references", "misses"}) {
-        if (!cls.at(key).isNumber())
-            return Status::badConfig("classify.", key,
-                                     " is missing or not a number");
-    }
-    return Status::ok();
-}
-
 bool
 knownStreamState(const std::string &state)
 {
@@ -1088,13 +1015,10 @@ validateStatsDoc(const JsonValue &doc)
                                    kStatsSchemaVersion, ")");
 
     const std::string &kind = doc.at("kind").asString();
+    // A classify-only run has no sim section, which checkRunBody
+    // never requires.
     if (kind == "run")
         return checkRunBody(doc).withContext("run document");
-    // Classify documents share the run-body schema minus the sim
-    // section (which checkRunBody never required) plus a "classify"
-    // summary block.
-    if (kind == "classify")
-        return checkClassifyBody(doc).withContext("classify document");
     if (kind == "serve")
         return checkServeBody(doc).withContext("serve document");
     if (kind == "metrics")
@@ -1122,7 +1046,7 @@ validateStatsDoc(const JsonValue &doc)
         }
         return Status::ok();
     }
-    if (kind == "suite" || kind == "classify-suite") {
+    if (kind == "suite") {
         const JsonValue &rows = doc.at("rows");
         if (!rows.isArray())
             return Status::badConfig("suite document: missing rows");
@@ -1132,9 +1056,7 @@ validateStatsDoc(const JsonValue &doc)
             if (row.get("error")) {
                 ++errored;
             } else {
-                Status s = kind == "classify-suite"
-                               ? checkClassifyBody(row)
-                               : checkRunBody(row);
+                Status s = checkRunBody(row);
                 if (!s.isOk())
                     return s.withContext("suite row " +
                                          std::to_string(i));

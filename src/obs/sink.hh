@@ -12,7 +12,7 @@
  *
  * Schema (docs/OBSERVABILITY.md): every document carries
  *   "schema": "ccm-stats", "schema_version": kStatsSchemaVersion,
- *   "kind": "run" | "suite"
+ *   "kind": "run" | "suite" | "sample" | "bench" | "metrics" | "serve"
  * and validateStatsDoc() checks structural invariants (including
  * sum-of-interval-deltas == final aggregates) for both the tests and
  * `ccm-report --check`.
@@ -39,7 +39,7 @@ namespace ccm::obs
 {
 
 /** Version stamped into every document; bump on breaking changes. */
-inline constexpr std::uint64_t kStatsSchemaVersion = 1;
+inline constexpr std::uint64_t kStatsSchemaVersion = 2;
 
 /** Document identifier stamped into every document. */
 inline constexpr const char *kStatsSchemaName = "ccm-stats";
@@ -99,44 +99,24 @@ JsonValue runDocument(const std::string &workload, const RunOutput &out,
                       const ClassifyEventTrace *events = nullptr);
 
 /**
+ * Build a kind:"run" document for one classify-only (sharded) run:
+ * no timing ran, so there is no sim section.  Deliberately omits the
+ * shard count: like --jobs, --shards is an execution knob, and the
+ * document is byte-identical for every K (the ci.sh
+ * sharded-determinism gate diffs exactly these bytes).
+ */
+JsonValue runDocument(const std::string &workload,
+                      const ShardedClassifyResult &out);
+
+/**
  * Build a kind:"suite" document.  Errored rows become
- * {"workload", "error"} stubs; @p intervals_for (optional) maps a
- * workload name to its sampler, nullptr meaning none.
+ * {"workload", "error"} stubs; an ok row carries the body of its run
+ * document, @p run_doc(row) (default: runDocument(workload, out)),
+ * followed by the row's wall_seconds.
  */
 JsonValue suiteDocument(
     const SuiteReport &report,
-    const std::function<const IntervalSampler *(const std::string &)>
-        &intervals_for = {});
-
-/**
- * One row of a classify sweep (the sharded fast path's analogue of
- * SuiteRow): a result, or why this workload's run failed.
- */
-struct ClassifyRow
-{
-    std::string workload;
-    Status status;
-    ShardedClassifyResult out; ///< meaningful only when status.isOk()
-    /** Wall time for this row; the one nondeterministic field. */
-    double wallSeconds = 0.0;
-
-    bool ok() const { return status.isOk(); }
-};
-
-/**
- * Build a kind:"classify" document for one sharded classification
- * run.  Deliberately omits the shard count: like --jobs, --shards is
- * an execution knob, and the document is byte-identical for every K
- * (the ci.sh sharded-determinism gate diffs exactly these bytes).
- */
-JsonValue classifyDocument(const std::string &workload,
-                           const ShardedClassifyResult &out);
-
-/**
- * Build a kind:"classify-suite" document: the same rows/summary shape
- * as kind:"suite", with classify bodies and no sim section.
- */
-JsonValue classifySuiteDocument(const std::vector<ClassifyRow> &rows);
+    const std::function<JsonValue(const SuiteRow &)> &run_doc = {});
 
 /**
  * Build a kind:"sample" document for one sampling analysis

@@ -1,7 +1,5 @@
 #include "pseudo/pseudo_cache.hh"
 
-#include "common/logging.hh"
-
 namespace ccm
 {
 
@@ -34,11 +32,19 @@ PseudoAssocCache::PseudoAssocCache(const CacheGeometry &geometry,
       mct(geometry.numSets(), mct_tag_bits),
       lines(geometry.numSets())
 {
+    fatalIfError(validate(geometry));
+}
+
+Status
+PseudoAssocCache::validate(const CacheGeometry &geometry)
+{
     if (geometry.assoc() != 1)
-        ccm_fatal("pseudo-associative cache must be built on a "
-                  "direct-mapped geometry");
+        return Status::badConfig("pseudo-associative cache must be "
+                                 "built on a direct-mapped geometry");
     if (geometry.numSets() < 2)
-        ccm_fatal("pseudo-associative cache needs >= 2 sets");
+        return Status::badConfig(
+            "pseudo-associative cache needs >= 2 sets");
+    return Status::ok();
 }
 
 std::size_t

@@ -27,6 +27,7 @@
 #include "cache/geometry.hh"
 #include "cache/line.hh"
 #include "common/stats.hh"
+#include "common/status.hh"
 #include "mct/mct.hh"
 
 namespace ccm
@@ -63,6 +64,9 @@ class PseudoAssocCache
     PseudoAssocCache(const CacheGeometry &geometry,
                      bool use_mct_replacement,
                      unsigned mct_tag_bits = 0);
+
+    /** Check the geometry the constructor would reject. */
+    static Status validate(const CacheGeometry &geometry);
 
     /**
      * Access @p addr, filling on a miss (this cache owns its fill

@@ -1,41 +1,17 @@
 #include "serve/config.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
-
-#include "common/logging.hh"
-#include "hierarchy/memsys.hh"
 
 namespace ccm::serve
 {
 
 namespace
 {
-
-/**
- * Reject any machine configuration MemorySystem would fatal on at
- * stream start (zero associativity, non-power-of-two sizes, ...) by
- * probe-constructing one.  Catching this at parse time means a broken
- * file never becomes the running configuration: reload() keeps the
- * previous good one instead of accepting a config under which every
- * subsequent stream fails at simulation start.
- */
-Status
-validateSystem(const SystemConfig &system)
-{
-    try {
-        ScopedFatalThrow guard;
-        MemorySystem probe(system.mem);
-    } catch (const FatalError &e) {
-        return Status::badConfig(e.what());
-    } catch (const std::exception &e) {
-        return Status::badConfig("configuration rejected: ",
-                                 e.what());
-    }
-    return Status::ok();
-}
 
 /** Strict unsigned parse: the whole token must be digits. */
 Expected<std::uint64_t>
@@ -48,7 +24,25 @@ parseU64(const std::string &key, const std::string &value)
             return Status::badConfig("key '", key, "': '", value,
                                      "' is not a number");
     }
-    return std::strtoull(value.c_str(), nullptr, 10);
+    errno = 0;
+    const std::uint64_t v = std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return Status::badConfig("key '", key, "': ", value,
+                                 " is out of range");
+    return v;
+}
+
+/** Store @p v * @p scale in @p field, unless it does not fit. */
+template <class T>
+Status
+store(const std::string &key, std::uint64_t v, T &field,
+      std::uint64_t scale = 1)
+{
+    if (v > std::numeric_limits<T>::max() / scale)
+        return Status::badConfig("key '", key, "': ", v,
+                                 " is out of range");
+    field = static_cast<T>(v * scale);
+    return Status::ok();
 }
 
 } // namespace
@@ -129,31 +123,39 @@ parseServeConfig(std::string_view text)
         if (!n.ok())
             return n.status();
         const std::uint64_t v = n.value();
+        MemSysConfig &mem = cfg.system.mem;
+        Status s;
         if (key == "l1-kb") {
-            cfg.system.mem.l1Bytes = v * 1024;
+            s = store(key, v, mem.l1Bytes, 1024);
         } else if (key == "l1-assoc") {
-            cfg.system.mem.l1Assoc = static_cast<unsigned>(v);
+            s = store(key, v, mem.l1Assoc);
         } else if (key == "l2-kb") {
-            cfg.system.mem.l2Bytes = v * 1024;
+            s = store(key, v, mem.l2Bytes, 1024);
         } else if (key == "buf-entries") {
-            cfg.system.mem.bufEntries = static_cast<unsigned>(v);
+            s = store(key, v, mem.bufEntries);
         } else if (key == "mct-bits") {
-            cfg.system.mem.mctTagBits = static_cast<unsigned>(v);
+            s = store(key, v, mem.mctTagBits);
         } else if (key == "queue-records") {
-            cfg.limits.queueRecords = v;
+            s = store(key, v, cfg.limits.queueRecords);
         } else if (key == "window-every") {
-            cfg.limits.windowEvery = v;
+            s = store(key, v, cfg.limits.windowEvery);
         } else if (key == "window-samples") {
-            cfg.limits.windowSamples = v;
+            s = store(key, v, cfg.limits.windowSamples);
         } else if (key == "snapshot-every") {
-            cfg.limits.snapshotEvery = v;
+            s = store(key, v, cfg.limits.snapshotEvery);
         } else if (key == "defect-budget") {
-            cfg.limits.defectBudget = v;
+            s = store(key, v, cfg.limits.defectBudget);
         } else {
             return Status::badConfig("unknown config key '", key, "'");
         }
+        if (!s.isOk())
+            return s;
     }
-    Status geom = validateSystem(cfg.system);
+    // Reject any machine MemorySystem would fatal on at stream start
+    // (zero associativity, non-power-of-two sizes, ...).  Catching
+    // this at parse time means a broken file never becomes the
+    // running configuration: reload() keeps the previous good one.
+    Status geom = cfg.system.mem.validate();
     if (!geom.isOk())
         return geom.withContext("invalid geometry");
     return cfg;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <exception>
 
-#include "common/logging.hh"
 #include "hierarchy/memsys.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -31,11 +30,11 @@ Expected<RunOutput>
 tryRunTiming(TraceSource &trace, const SystemConfig &config,
              const MemSysInstrument &instrument)
 {
+    Status valid = config.mem.validate();
+    if (!valid.isOk())
+        return valid;
     try {
-        ScopedFatalThrow guard;
         return runTiming(trace, config, instrument);
-    } catch (const FatalError &e) {
-        return Status::badConfig(e.what());
     } catch (const std::exception &e) {
         return Status::internal("run failed: ", e.what());
     }
@@ -72,10 +71,7 @@ runSuiteCell(const std::string &name, const SuiteTraceFactory &factory,
 
     auto trace = [&]() -> Expected<std::unique_ptr<TraceSource>> {
         try {
-            ScopedFatalThrow guard;
             return factory(name);
-        } catch (const FatalError &e) {
-            return Status::badConfig(e.what());
         } catch (const std::exception &e) {
             return Status::internal("trace factory failed: ",
                                     e.what());

@@ -51,9 +51,10 @@ RunOutput runTiming(TraceSource &trace, const SystemConfig &config,
                     const MemSysInstrument &instrument = {});
 
 /**
- * Like runTiming, but recoverable: a bad configuration (or any other
- * would-be-fatal user error raised while building and running the
- * machine) comes back as an error status instead of exiting.
+ * Like runTiming, but recoverable: a configuration that
+ * config.mem.validate() rejects comes back as its BadConfig status,
+ * and an exception thrown during the run as an Internal one, instead
+ * of exiting.
  */
 Expected<RunOutput> tryRunTiming(TraceSource &trace,
                                  const SystemConfig &config,
@@ -119,8 +120,8 @@ using SuiteInstrument =
 
 /**
  * Produce the row for one suite cell: run the trace factory and the
- * simulation with every would-be-fatal error captured into the row's
- * status, and the cell's wall time measured.  This is the unit of
+ * simulation with every error status (or exception) captured into
+ * the row's status, and the cell's wall time measured.  This is the unit of
  * work shared by the sequential and parallel suite runners — both
  * paths execute exactly this, so their rows can only differ in
  * wallSeconds.
@@ -132,9 +133,9 @@ SuiteRow runSuiteCell(const std::string &name,
 
 /**
  * Sweep @p config over every workload in @p names, isolating
- * failures: a run whose trace can't be produced or whose simulation
- * dies on a user error is recorded as an errored row and the rest of
- * the suite still completes.  Row order matches @p names.
+ * failures: a run whose trace can't be produced or whose
+ * configuration is rejected is recorded as an errored row and the
+ * rest of the suite still completes.  Row order matches @p names.
  */
 SuiteReport runSuite(const std::vector<std::string> &names,
                      const SuiteTraceFactory &factory,

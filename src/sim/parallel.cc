@@ -75,9 +75,10 @@ runSuiteParallel(const std::vector<std::string> &names,
                 row = runSuiteCell(names[i], factory, cfg,
                                    serialized);
             } catch (const std::exception &e) {
-                // runSuiteCell already captures fatal/user errors;
-                // this is the last-resort net (e.g. bad_alloc) that
-                // keeps the pool's no-throw requirement.
+                // runSuiteCell already turns bad configs and trace
+                // errors into row statuses; this is the last-resort
+                // net (e.g. bad_alloc) that keeps the pool's no-throw
+                // requirement.
                 row.workload = names[i];
                 row.status = Status::internal("suite cell failed: ",
                                               e.what());

@@ -184,10 +184,6 @@ runShardedClassify(const MemRecord *records, std::size_t count,
         }
         pool.waitIdle();
     }
-
-    res.references = res.mem.accesses;
-    res.misses = res.mem.l1Misses;
-    res.missRate = safeRatio(res.misses, res.references);
     return res;
 }
 

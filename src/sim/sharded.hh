@@ -74,10 +74,6 @@ struct ShardedClassifyConfig : ClassifyConfig
 /** Everything one sharded classification run produces. */
 struct ShardedClassifyResult
 {
-    Count references = 0; ///< memory references simulated
-    Count misses = 0;     ///< L1 misses (== mem.l1Misses)
-    double missRate = 0.0;
-
     /**
      * Classify-path counters on the MemStats schema (accesses, loads,
      * stores, l1Hits, l1Misses, conflictMisses, capacityMisses; the

@@ -425,14 +425,12 @@ TEST(SyncLockRank, InversionIsCaughtDeterministically)
     Mutex low(LockRank::ServeDaemon, "rank-test-low");
     Mutex high(LockRank::ServeQueue, "rank-test-high");
 
-    ScopedFatalThrow guard;
     MutexLock a(high);
     // The deliberate inversion: acquiring rank 10 while holding rank
     // 50 must die on the spot — no deadlock, no second thread needed.
-    EXPECT_THROW(MutexLock b(low), FatalError);
+    EXPECT_DEATH(MutexLock b(low), "lock-rank inversion");
 
-    // The checker fired *before* touching the lock, so the held-rank
-    // state is intact and a legal follow-up still works.
+    // Only the death-test child died; here a legal follow-up works.
     Mutex higher(LockRank::ThreadPool, "rank-test-higher");
     MutexLock c(higher);
 }
@@ -447,9 +445,8 @@ TEST(SyncLockRank, SameRankReacquisitionIsAnInversion)
     // inverted, which also catches same-mutex self-deadlock.
     Mutex a(LockRank::ServeStream, "rank-test-a");
     Mutex b(LockRank::ServeStream, "rank-test-b");
-    ScopedFatalThrow guard;
     MutexLock la(a);
-    EXPECT_THROW(MutexLock lb(b), FatalError);
+    EXPECT_DEATH(MutexLock lb(b), "lock-rank inversion");
 }
 
 TEST(SyncLockRank, UnrankedMutexesAreExempt)
@@ -750,8 +747,9 @@ TEST(SamplingPredicate, LoweringThresholdShrinksTheSampleSet)
     pred.lowerThreshold(origThr / 2);
     EXPECT_EQ(pred.threshold(), origThr / 2);
     for (std::uint64_t i = 0; i < kLines; ++i) {
-        if (pred.sampled(LineAddr(i)))
+        if (pred.sampled(LineAddr(i))) {
             EXPECT_TRUE(before[i]) << "line " << i << " re-entered";
+        }
     }
 
     pred.lowerThreshold(origThr); // raise attempt: refused

@@ -102,9 +102,9 @@ TEST(Differential, OracleClassifyMatchesShardedAcrossGeometries)
                 cfg.shards = k;
                 ShardedClassifyResult sh = runShardedClassify(
                     trace.records().data(), trace.records().size(), cfg);
-                EXPECT_EQ(sh.references, oracle.references)
+                EXPECT_EQ(sh.mem.accesses, oracle.references)
                     << what << " K=" << k;
-                EXPECT_EQ(sh.misses, oracle.misses)
+                EXPECT_EQ(sh.mem.l1Misses, oracle.misses)
                     << what << " K=" << k;
                 EXPECT_EQ(sh.mem.conflictMisses, mct_conf)
                     << what << " K=" << k;
@@ -148,8 +148,8 @@ TEST(Differential, SharedCacheOneThreadMatchesShardedClassify)
         InterleavedTrace one({&trace});
         SharedCacheResult r = SharedCacheStudy().run(one);
         ASSERT_EQ(r.perThread.size(), 1u);
-        EXPECT_EQ(r.references, sh.references) << name;
-        EXPECT_EQ(r.misses, sh.misses) << name;
+        EXPECT_EQ(r.references, sh.mem.accesses) << name;
+        EXPECT_EQ(r.misses, sh.mem.l1Misses) << name;
         EXPECT_EQ(r.perThread[0].conflictMisses, sh.mem.conflictMisses)
             << name;
         EXPECT_EQ(r.crossThreadConflicts, 0u) << name;
@@ -165,8 +165,8 @@ TEST(Differential, NeverRemappingRemapSimMatchesShardedClassify)
         rcfg.epochRefs = ~Count{0}; // never poll, so never recolor
         RemapResult r = PageRemapSim(rcfg).run(trace);
         EXPECT_EQ(r.remaps, 0u) << name;
-        EXPECT_EQ(r.references, sh.references) << name;
-        EXPECT_EQ(r.misses, sh.misses) << name;
+        EXPECT_EQ(r.references, sh.mem.accesses) << name;
+        EXPECT_EQ(r.misses, sh.mem.l1Misses) << name;
     }
 }
 

@@ -9,7 +9,10 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "hierarchy/memsys.hh"
 #include "sim/experiment.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
@@ -156,6 +159,61 @@ TEST(Experiment, TryRunTimingReportsBadConfigInsteadOfDying)
     EXPECT_EQ(r.status().code(), ErrorCode::BadConfig);
     EXPECT_NE(r.status().message().find("power of two"),
               std::string::npos);
+}
+
+TEST(MemSysConfig, ValidateAgreesWithConstruction)
+{
+    SystemConfig rpt = prefetchConfig(false);
+    rpt.mem.prefetch.kind = PrefetchKind::Rpt;
+    std::vector<SystemConfig> named = {
+        baselineConfig(),        victimConfig(false, false),
+        victimConfig(true, true), prefetchConfig(false),
+        prefetchConfig(true),    rpt,
+        pseudoConfig(true),      pseudoConfig(false),
+        twoWayConfig(),          ambConfig(true, true, true),
+        ambSingleVict(),         ambSinglePref(),
+        ambSingleExcl()};
+    for (ExcludeAlgo algo :
+         {ExcludeAlgo::Mat, ExcludeAlgo::TysonPc, ExcludeAlgo::Capacity,
+          ExcludeAlgo::CapacityHistory, ExcludeAlgo::Conflict,
+          ExcludeAlgo::ConflictHistory})
+        named.push_back(excludeConfig(algo));
+    for (const SystemConfig &cfg : named) {
+        Status s = cfg.mem.validate();
+        EXPECT_TRUE(s.isOk()) << s.toString();
+    }
+
+    // One bad input per rule: validate() rejects it, and building the
+    // machine dies with the very same message.
+    auto bad = [](SystemConfig base, auto edit) {
+        edit(base.mem);
+        return base.mem;
+    };
+    const std::vector<std::pair<const char *, MemSysConfig>> cases = {
+        {"l1 size", bad(baselineConfig(),
+                        [](MemSysConfig &m) { m.l1Bytes = 15 * 1024; })},
+        {"l2 size", bad(baselineConfig(),
+                        [](MemSysConfig &m) { m.l2Bytes = 1000 * 1024; })},
+        {"l1 assoc", bad(baselineConfig(),
+                         [](MemSysConfig &m) { m.l1Assoc = 0; })},
+        {"mct bits", bad(baselineConfig(),
+                         [](MemSysConfig &m) { m.mctTagBits = 65; })},
+        {"mshrs", bad(baselineConfig(),
+                      [](MemSysConfig &m) { m.mshrs = 0; })},
+        {"buffer entries", bad(victimConfig(false, false),
+                               [](MemSysConfig &m) { m.bufEntries = 0; })},
+        {"rpt entries", bad(rpt,
+                            [](MemSysConfig &m) {
+                                m.prefetch.rptEntries = 100;
+                            })},
+        {"pseudo 2-way", bad(pseudoConfig(true),
+                             [](MemSysConfig &m) { m.l1Assoc = 2; })},
+    };
+    for (const auto &[what, mem] : cases) {
+        Status s = mem.validate();
+        ASSERT_EQ(s.code(), ErrorCode::BadConfig) << what;
+        EXPECT_DEATH(MemorySystem{mem}, s.message()) << what;
+    }
 }
 
 TEST(Suite, CompletesDespiteOneFailingWorkload)

@@ -140,7 +140,7 @@ TEST(ObsSchema, RunDocumentGolden)
     // test breaks, readers of old files break too — bump
     // kStatsSchemaVersion instead of silently changing the schema.
     EXPECT_EQ(doc.at("schema").asString(), "ccm-stats");
-    EXPECT_EQ(doc.at("schema_version").asU64(), 1u);
+    EXPECT_EQ(doc.at("schema_version").asU64(), 2u);
     EXPECT_EQ(doc.at("kind").asString(), "run");
     EXPECT_EQ(doc.at("workload").asString(), "go");
 
@@ -169,6 +169,55 @@ TEST(ObsSchema, RunDocumentGolden)
     auto reparsed = JsonValue::parse(doc.toString());
     ASSERT_TRUE(reparsed.ok());
     EXPECT_TRUE(obs::validateStatsDoc(reparsed.value()).isOk());
+}
+
+TEST(ObsSchema, ClassifyRunsAreRunAndSuiteDocumentsWithoutSim)
+{
+    auto wl = makeWorkload("go", 5000, 7);
+    VectorTrace trace = VectorTrace::capture(*wl);
+    ShardedClassifyConfig cfg;
+    cfg.interval = 1000;
+    const ShardedClassifyResult res = runShardedClassify(
+        trace.records().data(), trace.records().size(), cfg);
+
+    // ccm-sim --classify and --classify --suite, one row errored.
+    const JsonValue run = obs::runDocument("go", res);
+    SuiteReport report;
+    report.rows.resize(2);
+    report.rows[0].workload = "go";
+    report.rows[1].workload = "gcc";
+    report.rows[1].status = Status::corruptTrace("bad trace magic");
+    const JsonValue suite =
+        obs::suiteDocument(report, [&](const SuiteRow &r) {
+            return obs::runDocument(r.workload, res);
+        });
+
+    EXPECT_EQ(run.at("kind").asString(), "run");
+    EXPECT_EQ(suite.at("kind").asString(), "suite");
+    EXPECT_EQ(suite.at("summary").at("errored").asU64(), 1u);
+    for (const JsonValue *doc : {&run, &suite}) {
+        Status s = obs::validateStatsDoc(*doc);
+        EXPECT_TRUE(s.isOk()) << s.toString();
+    }
+    // No timing ran, and the counters say the rest: no sim section,
+    // no classify summary, no records_per_sec.
+    const JsonValue &row = suite.at("rows").elements()[0];
+    for (const JsonValue *body : {&run, &row}) {
+        for (const char *gone : {"sim", "classify", "records_per_sec"})
+            EXPECT_EQ(body->get(gone), nullptr) << gone;
+        EXPECT_EQ(body->at("mem").at("counters").at("accesses").asU64(),
+                  5000u);
+        EXPECT_TRUE(body->at("intervals").isObject());
+    }
+
+    // The events section carries no (always 0/0) agreement block.
+    obs::ClassifyEventTrace events;
+    RunOutput timed = observedRun(nullptr, &events);
+    const JsonValue with_events =
+        obs::runDocument("go", timed, nullptr, &events);
+    ASSERT_TRUE(with_events.at("events").isObject());
+    EXPECT_EQ(with_events.at("events").get("agreement"), nullptr);
+    EXPECT_TRUE(obs::validateStatsDoc(with_events).isOk());
 }
 
 TEST(ObsSchema, ValidatorRejectsTampering)
@@ -460,8 +509,9 @@ TEST(ObsMetrics, HistogramBucketBoundaries)
     for (std::size_t i = 0; i < H::kBuckets; ++i) {
         EXPECT_EQ(H::bucketIndex(H::bucketLo(i)), i) << i;
         EXPECT_EQ(H::bucketIndex(H::bucketHi(i)), i) << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(H::bucketLo(i), H::bucketHi(i - 1) + 1) << i;
+        }
     }
 }
 

@@ -446,6 +446,19 @@ TEST(ServeConfig, RejectsUnknownKeysAndBadValues)
     EXPECT_FALSE(serve::parseServeConfig("arch ternary\n").ok());
     EXPECT_FALSE(serve::parseServeConfig("l1-kb sixteen\n").ok());
     EXPECT_FALSE(serve::parseServeConfig("policy maybe\n").ok());
+    // Values that do not fit their field are rejected, not truncated
+    // (l1-assoc 2^32+1 would read as 1) or wrapped by the KB scaling
+    // (l1-kb 2^54+1 would read as 1 KB).
+    for (const char *overflow :
+         {"l1-assoc 4294967297\n", "buf-entries 4294967296\n",
+          "mct-bits 4294967297\n", "l1-kb 18014398509481985\n",
+          "l2-kb 18014398509481985\n",
+          "queue-records 99999999999999999999\n"}) {
+        Status o = serve::parseServeConfig(overflow).status();
+        EXPECT_EQ(o.code(), ErrorCode::BadConfig) << overflow;
+        EXPECT_NE(o.message().find("out of range"), std::string::npos)
+            << overflow << o.toString();
+    }
     Status s = serve::parseServeConfig("bogus 1\n").status();
     EXPECT_NE(s.message().find("bogus"), std::string::npos);
 }
@@ -458,6 +471,10 @@ TEST(ServeConfig, RejectsGeometryTheSimulatorWouldFatalOn)
     EXPECT_FALSE(serve::parseServeConfig("l1-assoc 0\n").ok());
     EXPECT_FALSE(serve::parseServeConfig("l1-kb 3\n").ok());
     EXPECT_FALSE(serve::parseServeConfig("l2-kb 7\n").ok());
+    EXPECT_FALSE(
+        serve::parseServeConfig("arch pseudo\nl1-assoc 2\n").ok());
+    EXPECT_FALSE(
+        serve::parseServeConfig("arch victim\nbuf-entries 0\n").ok());
     Status s = serve::parseServeConfig("l1-assoc 0\n").status();
     EXPECT_EQ(s.code(), ErrorCode::BadConfig);
     EXPECT_NE(s.message().find("invalid geometry"),

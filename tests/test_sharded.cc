@@ -67,9 +67,6 @@ void
 expectSameResult(const ShardedClassifyResult &ref,
                  const ShardedClassifyResult &got)
 {
-    EXPECT_EQ(ref.references, got.references);
-    EXPECT_EQ(ref.misses, got.misses);
-    EXPECT_DOUBLE_EQ(ref.missRate, got.missRate);
     expectSameStats(ref.mem, got.mem);
 
     EXPECT_EQ(ref.heat.sets, got.heat.sets);
@@ -113,7 +110,7 @@ TEST(ShardedClassify, EveryShardCountMatchesSequential)
 
     const ShardedClassifyResult ref =
         runShardedClassify(recs, n, smallConfig(1, 30'000));
-    EXPECT_EQ(ref.references, Count{120'000});
+    EXPECT_EQ(ref.mem.accesses, Count{120'000});
 
     // 2 = even split, 7 = prime (uneven stripes), 64 = more shards
     // than the 16 sets (48 shards own nothing at all).
@@ -171,15 +168,15 @@ TEST(ShardedClassify, AgreesWithOracleBearingClassifyRun)
         trace.records().data(), trace.records().size(),
         smallConfig(3));
 
-    EXPECT_EQ(got.references, expect.references);
-    EXPECT_EQ(got.misses, expect.misses);
+    EXPECT_EQ(got.mem.accesses, expect.references);
+    EXPECT_EQ(got.mem.l1Misses, expect.misses);
     // The MCT-side verdict tallies must agree too: the scorer's
     // "called conflict" column is exactly our conflictMisses counter.
     EXPECT_EQ(got.mem.conflictMisses,
               expect.scorer.conflictAsConflict() +
                   expect.scorer.capacityAsConflict());
     EXPECT_EQ(got.mem.capacityMisses,
-              got.misses - got.mem.conflictMisses);
+              got.mem.l1Misses - got.mem.conflictMisses);
 }
 
 TEST(ShardedClassify, ZeroShardsMeansOne)
@@ -190,7 +187,7 @@ TEST(ShardedClassify, ZeroShardsMeansOne)
         trace.records().data(), trace.records().size(),
         smallConfig(0));
     EXPECT_EQ(res.shards, 1u);
-    EXPECT_EQ(res.references, Count{10'000});
+    EXPECT_EQ(res.mem.accesses, Count{10'000});
 }
 
 // ---- mapped reader vs copying reader -----------------------------

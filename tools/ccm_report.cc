@@ -67,6 +67,8 @@ u64str(const JsonValue &v)
 void
 renderRunBody(const JsonValue &doc, std::size_t top_n)
 {
+    const JsonValue &derived = doc.at("mem").at("derived");
+    const JsonValue &counters = doc.at("mem").at("counters");
     const JsonValue &sim = doc.at("sim");
     if (sim.isObject()) {
         std::cout << "cycles            " << sim.at("cycles").asU64()
@@ -77,10 +79,13 @@ renderRunBody(const JsonValue &doc, std::size_t top_n)
                   << "\n"
                   << "ipc               "
                   << num(sim.at("ipc").asDouble(), 3) << "\n";
+    } else {
+        // A classify-only run: no timing, so no sim section.
+        std::cout << "memory refs       "
+                  << u64str(counters.at("accesses")) << "\n"
+                  << "L1 misses         "
+                  << u64str(counters.at("l1_misses")) << "\n";
     }
-
-    const JsonValue &derived = doc.at("mem").at("derived");
-    const JsonValue &counters = doc.at("mem").at("counters");
     std::cout << "L1 hit rate       "
               << num(derived.at("l1_hit_rate_pct").asDouble()) << "%\n"
               << "miss rate         "
@@ -152,78 +157,33 @@ renderRunBody(const JsonValue &doc, std::size_t top_n)
 void
 renderSuite(const JsonValue &doc)
 {
-    TextTable t({"workload", "status", "cycles", "ipc", "miss%",
-                 "conflict%"});
+    // Classify suites have no sim section: their timing columns show
+    // "-".  Mrec/s is accesses over the row's wall time.
+    TextTable t({"workload", "status", "refs", "cycles", "ipc", "miss%",
+                 "conflict%", "Mrec/s"});
     for (const JsonValue &row : doc.at("rows").elements()) {
         std::size_t r = t.addRow(row.at("workload").asString());
-        if (const JsonValue *err = row.get("error")) {
-            t.set(r, 1, "ERROR");
-            t.set(r, 2, "-");
-            t.set(r, 3, "-");
-            t.set(r, 4, "-");
-            t.set(r, 5, "-");
-            (void)err;
-            continue;
-        }
-        const JsonValue &derived = row.at("mem").at("derived");
-        t.set(r, 1, "ok");
-        t.set(r, 2, u64str(row.at("sim").at("cycles")));
-        t.set(r, 3, num(row.at("sim").at("ipc").asDouble(), 3));
-        t.set(r, 4, num(derived.at("miss_rate_pct").asDouble()));
-        t.set(r, 5, num(derived.at("conflict_share_pct").asDouble()));
-    }
-    t.print(std::cout);
-
-    const JsonValue &summary = doc.at("summary");
-    std::cout << summary.at("runs").asU64() -
-                     summary.at("errored").asU64()
-              << "/" << summary.at("runs").asU64() << " runs ok, "
-              << summary.at("errored").asU64() << " errored\n";
-
-    for (const JsonValue &row : doc.at("rows").elements()) {
-        if (const JsonValue *err = row.get("error"))
-            CCM_LOG_ERROR(row.at("workload").asString(), ": ",
-                          err->asString());
-    }
-}
-
-void
-renderClassifyBody(const JsonValue &doc, std::size_t top_n)
-{
-    const JsonValue &cls = doc.at("classify");
-    std::cout << "references        " << cls.at("references").asU64()
-              << "\n"
-              << "L1 misses         " << cls.at("misses").asU64()
-              << "\n";
-    // The rest of the body (mem/heatmap/intervals) is shared with
-    // kind:"run"; renderRunBody skips the absent sim section.
-    renderRunBody(doc, top_n);
-}
-
-void
-renderClassifySuite(const JsonValue &doc)
-{
-    TextTable t({"workload", "status", "refs", "miss%", "conflict%",
-                 "wall ms", "Mrec/s"});
-    for (const JsonValue &row : doc.at("rows").elements()) {
-        std::size_t r = t.addRow(row.at("workload").asString());
+        for (std::size_t c = 2; c <= 7; ++c)
+            t.set(r, c, "-");
         if (row.get("error") != nullptr) {
             t.set(r, 1, "ERROR");
-            for (std::size_t c = 2; c <= 6; ++c)
-                t.set(r, c, "-");
             continue;
         }
+        const JsonValue &counters = row.at("mem").at("counters");
         const JsonValue &derived = row.at("mem").at("derived");
         t.set(r, 1, "ok");
-        t.set(r, 2, u64str(row.at("classify").at("references")));
-        t.set(r, 3, num(derived.at("miss_rate_pct").asDouble()));
-        t.set(r, 4, num(derived.at("conflict_share_pct").asDouble()));
-        t.set(r, 5,
-              num(row.at("wall_seconds").asDouble() * 1e3, 1));
-        const JsonValue *rps = row.get("records_per_sec");
-        t.set(r, 6,
-              rps != nullptr ? num(rps->asDouble() / 1e6, 1)
-                             : std::string("-"));
+        t.set(r, 2, u64str(counters.at("accesses")));
+        if (const JsonValue *sim = row.get("sim")) {
+            t.set(r, 3, u64str(sim->at("cycles")));
+            t.set(r, 4, num(sim->at("ipc").asDouble(), 3));
+        }
+        t.set(r, 5, num(derived.at("miss_rate_pct").asDouble()));
+        t.set(r, 6, num(derived.at("conflict_share_pct").asDouble()));
+        const double wall = row.at("wall_seconds").asDouble();
+        if (wall > 0.0)
+            t.set(r, 7,
+                  num(counters.at("accesses").asDouble() / wall / 1e6,
+                      1));
     }
     t.print(std::cout);
 
@@ -546,15 +506,6 @@ main(int argc, char **argv)
     } else if (kind == "suite") {
         std::cout << "== ccm-report: suite on " << arch << " ==\n";
         renderSuite(doc);
-    } else if (kind == "classify") {
-        std::cout << "== ccm-report: "
-                  << doc.at("workload").asString() << " on " << arch
-                  << " (classify) ==\n";
-        renderClassifyBody(doc, top_n);
-    } else if (kind == "classify-suite") {
-        std::cout << "== ccm-report: classify suite on " << arch
-                  << " ==\n";
-        renderClassifySuite(doc);
     } else if (kind == "bench") {
         std::cout << "== ccm-report: bench "
                   << doc.at("bench").asString() << " ==\n";

@@ -460,12 +460,12 @@ runSuiteMode(const Options &o)
               << report.failures() << " errored\n";
 
     if (!o.statsOut.empty()) {
-        obs::JsonValue doc = obs::suiteDocument(
-            report,
-            [&](const std::string &name) -> const obs::IntervalSampler * {
-                auto it = samplers.find(name);
-                return it == samplers.end() ? nullptr
-                                            : it->second.get();
+        obs::JsonValue doc =
+            obs::suiteDocument(report, [&](const SuiteRow &row) {
+                auto it = samplers.find(row.workload);
+                return obs::runDocument(
+                    row.workload, row.out,
+                    it == samplers.end() ? nullptr : it->second.get());
             });
         doc.set("arch", obs::JsonValue::str(o.arch));
         int rc = emitStatsDoc(o, std::move(doc));
@@ -506,40 +506,39 @@ openClassifyTrace(const Options &o, const std::string &name)
 int
 runClassifySuiteMode(const Options &o)
 {
-    obs::ScopedSpan span("classify-suite", "sim");
+    obs::ScopedSpan span("suite:classify", "sim");
     const ShardedClassifyConfig ccfg = buildClassifyConfig(o);
 
     // Rows run sequentially: --shards already parallelizes within
     // each run, and stacking --jobs on top would just oversubscribe.
-    std::vector<obs::ClassifyRow> rows;
+    SuiteReport report;
+    std::map<std::string, ShardedClassifyResult> results;
     for (const auto &name : workloadNames()) {
-        obs::ClassifyRow row;
+        SuiteRow row;
         row.workload = name;
         const auto start = std::chrono::steady_clock::now();
         auto trace = openClassifyTrace(o, name);
         if (!trace.ok()) {
             row.status = trace.status();
         } else {
-            row.out = runShardedClassify(*trace.value(), ccfg);
+            results[name] = runShardedClassify(*trace.value(), ccfg);
         }
         row.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-        rows.push_back(std::move(row));
+        report.rows.push_back(std::move(row));
     }
 
     TextTable table({"workload", "status", "refs", "miss%",
                      "conflict%", "wall ms"});
-    std::size_t errored = 0;
-    for (const auto &row : rows) {
+    for (const auto &row : report.rows) {
         std::size_t r = table.addRow(row.workload);
         if (row.ok()) {
+            const MemStats &m = results.at(row.workload).mem;
             table.set(r, 1, "ok");
-            table.set(r, 2, std::to_string(row.out.references));
-            table.setNum(r, 3, row.out.mem.missRatePct());
-            table.setNum(r, 4,
-                         pct(row.out.mem.conflictMisses,
-                             row.out.mem.l1Misses));
+            table.set(r, 2, std::to_string(m.accesses));
+            table.setNum(r, 3, m.missRatePct());
+            table.setNum(r, 4, pct(m.conflictMisses, m.l1Misses));
         } else {
             table.set(r, 1,
                       std::string("ERROR[") +
@@ -547,28 +546,32 @@ runClassifySuiteMode(const Options &o)
             table.set(r, 2, "-");
             table.set(r, 3, "-");
             table.set(r, 4, "-");
-            ++errored;
         }
         table.setNum(r, 5, row.wallSeconds * 1000.0, 1);
     }
     std::cout << "== ccm-sim classify suite (shards "
               << (o.shards == 0 ? 1U : o.shards) << ") ==\n";
     table.print(std::cout);
-    for (const auto &row : rows) {
+    for (const auto &row : report.rows) {
         if (!row.ok())
             CCM_LOG_ERROR(row.status.toString());
     }
-    std::cout << rows.size() - errored << "/" << rows.size()
-              << " runs ok, " << errored << " errored\n";
+    std::cout << report.rows.size() - report.failures() << "/"
+              << report.rows.size() << " runs ok, "
+              << report.failures() << " errored\n";
 
     if (!o.statsOut.empty()) {
-        obs::JsonValue doc = obs::classifySuiteDocument(rows);
+        obs::JsonValue doc =
+            obs::suiteDocument(report, [&](const SuiteRow &row) {
+                return obs::runDocument(row.workload,
+                                        results.at(row.workload));
+            });
         doc.set("arch", obs::JsonValue::str(o.arch));
         int rc = emitStatsDoc(o, std::move(doc));
         if (rc != 0)
             return rc;
     }
-    return errored == 0 ? 0 : 2;
+    return report.allOk() ? 0 : 2;
 }
 
 /** --classify --sample-rate/--sample-intervals: sampled analysis. */
@@ -670,8 +673,8 @@ runClassifyMode(const Options &o)
     const MemStats &m = res.mem;
     std::cout << "== ccm-sim classify: " << trace.value()->name()
               << " ==\n"
-              << "memory refs       " << res.references << "\n"
-              << "L1 misses         " << res.misses << "\n"
+              << "memory refs       " << m.accesses << "\n"
+              << "L1 misses         " << m.l1Misses << "\n"
               << "miss rate         " << m.missRatePct() << "%\n"
               << "conflict misses   " << m.conflictMisses << " ("
               << pct(m.conflictMisses, m.l1Misses)
@@ -681,7 +684,7 @@ runClassifyMode(const Options &o)
               << "records/sec       "
               << (wall > 0.0
                       ? static_cast<std::uint64_t>(
-                            static_cast<double>(res.references) / wall)
+                            static_cast<double>(m.accesses) / wall)
                       : 0)
               << "\n";
     if (o.dumpRaw) {
@@ -691,7 +694,7 @@ runClassifyMode(const Options &o)
 
     if (!o.statsOut.empty()) {
         obs::JsonValue doc =
-            obs::classifyDocument(trace.value()->name(), res);
+            obs::runDocument(trace.value()->name(), res);
         doc.set("arch", obs::JsonValue::str(o.arch));
         return emitStatsDoc(o, std::move(doc));
     }
@@ -879,12 +882,15 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // One verdict on the geometry before any run, in every mode.
+    Status geom = o.classify ? buildClassifyConfig(o).validate()
+                             : buildConfig(o).mem.validate();
+    if (!geom.isOk()) {
+        CCM_LOG_ERROR(geom.toString());
+        return 1;
+    }
+
     if (o.classify) {
-        Status geom = buildClassifyConfig(o).validate();
-        if (!geom.isOk()) {
-            CCM_LOG_ERROR(geom.toString());
-            return 1;
-        }
         const int rc = runClassifyMode(o);
         Status fs = obs::SpanTracer::global().flush();
         if (!fs.isOk())

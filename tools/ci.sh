@@ -17,6 +17,8 @@
 #   8. observability smoke: ccm-sim --stats-json on a tiny suite run,
 #      validated and rendered by ccm-report; --jobs 2 must produce a
 #      stats document identical to --jobs 1 modulo wall-time fields;
+#      a bad geometry must fail a suite once (one bad-config line,
+#      exit 1);
 #      the sharded classify engine (--classify --suite --shards 4)
 #      must produce a stats document byte-identical to --shards 1
 #   9. perf smoke: the micro_throughput hotpath table (writes
@@ -134,13 +136,21 @@ build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
     --stats-json "$obs_tmp/seq.json" > /dev/null
 build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 2 \
     --stats-json "$obs_tmp/par.json" > /dev/null
-diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
-     <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/par.json")
+diff <(grep -v wall_seconds "$obs_tmp/seq.json") \
+     <(grep -v wall_seconds "$obs_tmp/par.json")
 build/tools/ccm-sim --workload go --refs 5000 --arch baseline \
     --interval 1000 --trace-events 64 \
     --stats-json "$obs_tmp/run.json" > /dev/null
 build/tools/ccm-report --check "$obs_tmp/run.json"
 build/tools/ccm-report "$obs_tmp/run.json" > /dev/null
+
+# A bad geometry is one up-front verdict in every mode: a single
+# bad-config line and exit 1, not one errored row per workload.
+bad_rc=0
+build/tools/ccm-sim --suite --refs 2000 --l1-kb 15 \
+    > "$obs_tmp/bad_config.txt" 2>&1 || bad_rc=$?
+test "$bad_rc" -eq 1
+test "$(grep -c bad-config "$obs_tmp/bad_config.txt")" -eq 1
 
 step "sharded classify determinism (--shards 4 vs --shards 1)"
 # The set-sharded engine must not change a single byte of the stats
@@ -150,8 +160,8 @@ build/tools/ccm-sim --classify --suite --refs 5000 --interval 1000 \
     --shards 1 --stats-json "$obs_tmp/classify_s1.json" > /dev/null
 build/tools/ccm-sim --classify --suite --refs 5000 --interval 1000 \
     --shards 4 --stats-json "$obs_tmp/classify_s4.json" > /dev/null
-if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/classify_s1.json") \
-          <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/classify_s4.json"); then
+if ! diff <(grep -v wall_seconds "$obs_tmp/classify_s1.json") \
+          <(grep -v wall_seconds "$obs_tmp/classify_s4.json"); then
     echo "FAIL: sharded classify output differs from sequential" >&2
     exit 1
 fi
@@ -206,8 +216,8 @@ for arch in baseline victim prefetch exclude pseudo amb; do
     CCM_TRACE_BATCH=1 \
         build/tools/ccm-sim --suite --refs 5000 --arch "$arch" --jobs 1 \
         --stats-json "$obs_tmp/unbatched_$arch.json" > /dev/null
-    if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/batched_$arch.json") \
-              <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/unbatched_$arch.json"); then
+    if ! diff <(grep -v wall_seconds "$obs_tmp/batched_$arch.json") \
+              <(grep -v wall_seconds "$obs_tmp/unbatched_$arch.json"); then
         echo "FAIL: batched $arch output differs from unbatched" >&2
         exit 1
     fi
@@ -304,8 +314,8 @@ step "telemetry smoke (span tracing + overhead budget)"
 build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
     --trace-spans "$obs_tmp/spans.json" \
     --stats-json "$obs_tmp/traced.json" > /dev/null
-diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
-     <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/traced.json")
+diff <(grep -v wall_seconds "$obs_tmp/seq.json") \
+     <(grep -v wall_seconds "$obs_tmp/traced.json")
 test -s "$obs_tmp/spans.json"
 grep -q '"traceEvents"' "$obs_tmp/spans.json"
 grep -q '"ph": "X"' "$obs_tmp/spans.json"
