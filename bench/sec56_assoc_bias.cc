@@ -14,7 +14,7 @@
 
 #include "assoc/biased_cache.hh"
 #include "common/table.hh"
-#include "trace/source.hh"
+#include "trace/batch_reader.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -31,10 +31,10 @@ runMissRate(ccm::TraceSource &trace, unsigned assoc, bool bias,
     CacheGeometry g(16 * 1024, assoc, 64);
     BiasedAssocCache cache(g, bias);
     trace.reset();
-    MemRecord r;
-    while (trace.next(r)) {
-        if (r.isMem())
-            cache.access(r.dataAddr(), r.isStore());
+    BatchReader reader(trace);
+    while (const MemRecord *r = reader.next()) {
+        if (r->isMem())
+            cache.access(r->dataAddr(), r->isStore());
     }
     if (overrides)
         *overrides = cache.biasOverrides();

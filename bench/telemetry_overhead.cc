@@ -56,8 +56,6 @@ class InstrumentedSource : public TraceSource
     {
     }
 
-    bool next(MemRecord &out) override { return inner_.next(out); }
-
     /** QueueSource::kClassifySampleEvery, mirrored. */
     static constexpr unsigned kSampleEvery = 8;
 

@@ -1,5 +1,7 @@
 #include "mt/interleave.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ccm
@@ -15,6 +17,9 @@ InterleavedTrace::InterleavedTrace(std::vector<TraceSource *> sources,
         ccm_fatal("InterleavedTrace needs at least one child");
     if (granularity == 0)
         ccm_fatal("interleave granularity must be >= 1");
+    readers.reserve(children.size());
+    for (TraceSource *c : children)
+        readers.emplace_back(*c);
 }
 
 void
@@ -29,39 +34,41 @@ InterleavedTrace::advanceTurn()
             return;
         }
     }
-    // All exhausted: current stays; next() will return false.
+    // All exhausted: current stays; next() will return nullptr.
 }
 
-bool
-InterleavedTrace::next(MemRecord &out)
+const MemRecord *
+InterleavedTrace::next(unsigned &thread)
 {
     for (std::size_t attempts = 0; attempts <= children.size();
          ++attempts) {
         if (exhausted[current]) {
             advanceTurn();
             if (exhausted[current])
-                return false;
+                return nullptr;
         }
-        if (children[current]->next(out)) {
-            lastProducer = current;
+        if (const MemRecord *r = readers[current].next()) {
+            thread = current;
             if (++taken >= gran)
                 advanceTurn();
-            return true;
+            return r;
         }
         exhausted[current] = true;
     }
-    return false;
+    return nullptr;
 }
 
 void
 InterleavedTrace::reset()
 {
-    for (auto *c : children)
+    readers.clear();
+    for (auto *c : children) {
         c->reset();
+        readers.emplace_back(*c);
+    }
     std::fill(exhausted.begin(), exhausted.end(), false);
     current = 0;
     taken = 0;
-    lastProducer = 0;
 }
 
 std::string

@@ -8,10 +8,10 @@
 #ifndef CCM_MT_INTERLEAVE_HH
 #define CCM_MT_INTERLEAVE_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "trace/batch_reader.hh"
 #include "trace/source.hh"
 
 namespace ccm
@@ -19,26 +19,31 @@ namespace ccm
 
 /**
  * Interleaves N child traces, @c granularity records at a time,
- * until every child is exhausted.  The id of the thread that produced
- * the most recent record is exposed so consumers can attribute
- * misses.
+ * until every child is exhausted.  Each record comes with the id of
+ * the thread that produced it, so consumers can attribute misses.
  */
-class InterleavedTrace : public TraceSource
+class InterleavedTrace
 {
   public:
     /**
-     * @param sources child traces (ownership shared with caller)
+     * @param sources child traces (ownership stays with the caller)
      * @param granularity consecutive records taken per thread turn
      */
     InterleavedTrace(std::vector<TraceSource *> sources,
                      unsigned granularity = 4);
 
-    bool next(MemRecord &out) override;
-    void reset() override;
-    std::string name() const override;
+    /**
+     * The next record of the interleaved stream, or nullptr once every
+     * child is exhausted; @p thread receives the producing child's
+     * index.  The pointer stays valid until the following next().
+     */
+    const MemRecord *next(unsigned &thread);
 
-    /** Thread index of the record most recently returned. */
-    unsigned lastThread() const { return lastProducer; }
+    /** Rewind every child and restart the round-robin at thread 0. */
+    void reset();
+
+    /** The children's names joined with '+'. */
+    std::string name() const;
 
     unsigned threads() const { return unsigned(children.size()); }
 
@@ -46,11 +51,12 @@ class InterleavedTrace : public TraceSource
     void advanceTurn();
 
     std::vector<TraceSource *> children;
+    /** One batch-buffered reader per child, rebuilt by reset(). */
+    std::vector<BatchReader> readers;
     std::vector<bool> exhausted;
     unsigned gran;
     unsigned current = 0;
     unsigned taken = 0;
-    unsigned lastProducer = 0;
 };
 
 } // namespace ccm

@@ -25,17 +25,16 @@ SharedCacheStudy::run(InterleavedTrace &trace)
     res.perThread.assign(trace.threads(), ThreadShareStats{});
 
     trace.reset();
-    MemRecord r;
-    while (trace.next(r)) {
-        if (!r.isMem())
+    unsigned tid = 0;
+    while (const MemRecord *r = trace.next(tid)) {
+        if (!r->isMem())
             continue;
-        unsigned tid = trace.lastThread();
         ThreadShareStats &ts = res.perThread[tid];
         ++ts.references;
         ++res.references;
 
-        const ByteAddr addr = r.dataAddr();
-        const StepOutcome out = l1.access(addr, r.isStore());
+        const ByteAddr addr = r->dataAddr();
+        const StepOutcome out = l1.access(addr, r->isStore());
         if (out.hit)
             continue;
 

@@ -1,51 +1,13 @@
 #include "serve/config.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
-#include <limits>
 #include <sstream>
+
+#include "common/parse_num.hh"
 
 namespace ccm::serve
 {
-
-namespace
-{
-
-/** Strict unsigned parse: the whole token must be digits. */
-Expected<std::uint64_t>
-parseU64(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        return Status::badConfig("key '", key, "' needs a number");
-    for (char c : value) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return Status::badConfig("key '", key, "': '", value,
-                                     "' is not a number");
-    }
-    errno = 0;
-    const std::uint64_t v = std::strtoull(value.c_str(), nullptr, 10);
-    if (errno == ERANGE)
-        return Status::badConfig("key '", key, "': ", value,
-                                 " is out of range");
-    return v;
-}
-
-/** Store @p v * @p scale in @p field, unless it does not fit. */
-template <class T>
-Status
-store(const std::string &key, std::uint64_t v, T &field,
-      std::uint64_t scale = 1)
-{
-    if (v > std::numeric_limits<T>::max() / scale)
-        return Status::badConfig("key '", key, "': ", v,
-                                 " is out of range");
-    field = static_cast<T>(v * scale);
-    return Status::ok();
-}
-
-} // namespace
 
 Expected<SystemConfig>
 buildArchConfig(const std::string &arch)
@@ -74,9 +36,9 @@ parseServeConfig(std::string_view text)
 {
     ServeRuntimeConfig cfg;
 
-    // Geometry keys are applied after the arch is known, in file
-    // order, so "arch" may appear anywhere without being overridden
-    // by defaults.
+    // "arch" replaces the whole machine, so it is applied before every
+    // other key (the other keys then apply in file order): an arch line
+    // may appear anywhere without resetting a geometry key above it.
     std::vector<std::pair<std::string, std::string>> pairs;
 
     std::size_t line_no = 0;
@@ -103,6 +65,8 @@ parseServeConfig(std::string_view text)
         pairs.emplace_back(std::move(key), std::move(value));
     }
 
+    std::stable_partition(pairs.begin(), pairs.end(),
+                          [](const auto &p) { return p.first == "arch"; });
     for (const auto &[key, value] : pairs) {
         if (key == "arch") {
             auto sys = buildArchConfig(value);
@@ -126,25 +90,25 @@ parseServeConfig(std::string_view text)
         MemSysConfig &mem = cfg.system.mem;
         Status s;
         if (key == "l1-kb") {
-            s = store(key, v, mem.l1Bytes, 1024);
+            s = storeChecked(key, v, mem.l1Bytes, 1024);
         } else if (key == "l1-assoc") {
-            s = store(key, v, mem.l1Assoc);
+            s = storeChecked(key, v, mem.l1Assoc);
         } else if (key == "l2-kb") {
-            s = store(key, v, mem.l2Bytes, 1024);
+            s = storeChecked(key, v, mem.l2Bytes, 1024);
         } else if (key == "buf-entries") {
-            s = store(key, v, mem.bufEntries);
+            s = storeChecked(key, v, mem.bufEntries);
         } else if (key == "mct-bits") {
-            s = store(key, v, mem.mctTagBits);
+            s = storeChecked(key, v, mem.mctTagBits);
         } else if (key == "queue-records") {
-            s = store(key, v, cfg.limits.queueRecords);
+            s = storeChecked(key, v, cfg.limits.queueRecords);
         } else if (key == "window-every") {
-            s = store(key, v, cfg.limits.windowEvery);
+            s = storeChecked(key, v, cfg.limits.windowEvery);
         } else if (key == "window-samples") {
-            s = store(key, v, cfg.limits.windowSamples);
+            s = storeChecked(key, v, cfg.limits.windowSamples);
         } else if (key == "snapshot-every") {
-            s = store(key, v, cfg.limits.snapshotEvery);
+            s = storeChecked(key, v, cfg.limits.snapshotEvery);
         } else if (key == "defect-budget") {
-            s = store(key, v, cfg.limits.defectBudget);
+            s = storeChecked(key, v, cfg.limits.defectBudget);
         } else {
             return Status::badConfig("unknown config key '", key, "'");
         }

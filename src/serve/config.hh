@@ -19,6 +19,9 @@
  *   queue-records N   policy block|shed
  *   window-every N    window-samples N   snapshot-every N
  *   defect-budget N
+ *
+ * `arch` resets the whole machine, so it is applied before every other
+ * key wherever it appears in the file.
  */
 
 #ifndef CCM_SERVE_CONFIG_HH

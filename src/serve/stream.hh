@@ -100,12 +100,6 @@ class QueueSource : public TraceSource
 
     QueueSource(RecordQueue &queue, std::string label);
 
-    bool
-    next(MemRecord &out) override
-    {
-        return q.pop(&out, 1) == 1;
-    }
-
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
 
     /** Streams are not replayable; reset is the start-of-run no-op. */

@@ -45,9 +45,6 @@ namespace ccm::delta
 inline constexpr char magic[8] = {'C', 'C', 'M', 'T', 'R', 'A',
                                   'C', 'D'};
 
-/** Only version the codec speaks. */
-inline constexpr std::uint32_t version = 1;
-
 /** Control-byte layout. */
 inline constexpr std::uint8_t typeMask = 0x03;       ///< bits 0-1
 inline constexpr std::uint8_t flagDependsBit = 0x04; ///< bit 2

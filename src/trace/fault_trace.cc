@@ -38,12 +38,6 @@ FaultInjectingSource::innerNext(MemRecord &out)
     return true;
 }
 
-bool
-FaultInjectingSource::next(MemRecord &out)
-{
-    return emitOne(out);
-}
-
 std::size_t
 FaultInjectingSource::nextBatch(MemRecord *out, std::size_t n)
 {

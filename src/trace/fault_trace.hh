@@ -72,12 +72,10 @@ class FaultInjectingSource : public TraceSource
     /** @p inner must outlive this decorator. */
     FaultInjectingSource(TraceSource &inner, const FaultPlan &plan);
 
-    bool next(MemRecord &out) override;
-
     /**
-     * Batch delivery: the clean source is drained in batches and the
-     * fault plan applied record by record, so the dirty stream is
-     * bit-identical to the next() path for any batch partitioning.
+     * The clean source is drained in batches and the fault plan
+     * applied record by record, so the dirty stream is bit-identical
+     * for any batch partitioning.
      */
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
 
@@ -93,7 +91,7 @@ class FaultInjectingSource : public TraceSource
     const FaultPlan &plan() const { return plan_; }
 
   private:
-    /** The per-record fault pipeline shared by next()/nextBatch(). */
+    /** The per-record fault pipeline behind nextBatch(). */
     bool emitOne(MemRecord &out);
 
     /** Pull one clean record through the batched inner buffer. */

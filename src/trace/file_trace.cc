@@ -23,9 +23,11 @@ using wire::plausibleRecord;
 using wire::recordBytes;
 using wire::unpackRecord;
 
-constexpr char magic[8] = {'C', 'C', 'M', 'T', 'R', 'A', 'C', 'E'};
+// The header's magic and version; the delta magic lives with its
+// codec (trace/delta.hh).  Both encodings share the version number.
+constexpr char packedMagic[8] = {'C', 'C', 'M', 'T', 'R', 'A', 'C', 'E'};
 constexpr std::uint32_t traceVersion = 1;
-constexpr std::size_t headerBytes = 16;
+constexpr std::size_t headerBytes = traceHeaderBytes;
 
 std::string
 errnoSuffix()
@@ -77,7 +79,7 @@ TraceFileWriter::openFile()
             errnoSuffix());
     }
     std::fwrite(encoding_ == TraceEncoding::Delta ? delta::magic
-                                                  : magic,
+                                                  : packedMagic,
                 1, 8, fp);
     std::uint8_t verbuf[8] = {}; // version LE, then 4 reserved bytes
     wire::storeLe32(traceVersion, verbuf);
@@ -279,6 +281,27 @@ decodeDeltaBody(const std::string &path,
 } // namespace
 
 Status
+checkTraceHeader(const std::uint8_t *header, const std::string &path,
+                 TraceReadStats &stats)
+{
+    if (std::memcmp(header, delta::magic, 8) == 0) {
+        stats.encoding = TraceEncoding::Delta;
+    } else if (std::memcmp(header, packedMagic, 8) == 0) {
+        stats.encoding = TraceEncoding::Packed;
+    } else {
+        noteDefect(stats, TraceDefect::BadMagic);
+        return Status::corruptTrace("bad trace magic in ", path);
+    }
+    const std::uint32_t ver = wire::loadLe32(header + 8);
+    if (ver != traceVersion) {
+        noteDefect(stats, TraceDefect::BadVersion);
+        return Status::unsupported("unsupported trace version ", ver,
+                                   " in ", path);
+    }
+    return Status::ok();
+}
+
+Status
 loadTraceFile(const std::string &path, const TraceReadOptions &opts,
               std::vector<MemRecord> &out, TraceReadStats &stats)
 {
@@ -313,21 +336,9 @@ loadTraceFile(const std::string &path, const TraceReadOptions &opts,
         noteDefect(stats, TraceDefect::TruncatedHeader);
         return Status::corruptTrace("truncated trace header: ", path);
     }
-    bool is_delta = false;
-    if (std::memcmp(header, delta::magic, 8) == 0) {
-        is_delta = true;
-        stats.encoding = TraceEncoding::Delta;
-    } else if (std::memcmp(header, magic, 8) != 0) {
+    if (Status s = checkTraceHeader(header, path, stats); !s.isOk()) {
         std::fclose(fp);
-        noteDefect(stats, TraceDefect::BadMagic);
-        return Status::corruptTrace("bad trace magic in ", path);
-    }
-    const std::uint32_t ver = wire::loadLe32(header + 8);
-    if (ver != traceVersion) {
-        std::fclose(fp);
-        noteDefect(stats, TraceDefect::BadVersion);
-        return Status::unsupported("unsupported trace version ", ver,
-                                   " in ", path);
+        return s;
     }
 
     // Slurp the record area so resync can scan byte-by-byte.
@@ -346,7 +357,7 @@ loadTraceFile(const std::string &path, const TraceReadOptions &opts,
         }
     }
 
-    if (is_delta)
+    if (stats.encoding == TraceEncoding::Delta)
         return decodeDeltaBody(path, body, opts, out, stats);
 
     std::size_t off = 0;
@@ -435,15 +446,6 @@ TraceFileReader::open(const std::string &path,
     if (!s.isOk())
         return s;
     return rd;
-}
-
-bool
-TraceFileReader::next(MemRecord &out)
-{
-    if (pos >= records_.size())
-        return false;
-    out = records_[pos++];
-    return true;
 }
 
 std::size_t

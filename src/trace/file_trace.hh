@@ -30,6 +30,7 @@
 #ifndef CCM_TRACE_FILE_TRACE_HH
 #define CCM_TRACE_FILE_TRACE_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <ostream>
@@ -163,6 +164,18 @@ struct TraceReadStats
     void dump(std::ostream &os, const char *prefix = "trace") const;
 };
 
+/** Length of the header every trace file starts with. */
+inline constexpr std::size_t traceHeaderBytes = 16;
+
+/**
+ * Check the traceHeaderBytes-long header at @p header, the one magic
+ * and version check both readers share: the magic selects
+ * @p stats.encoding, an unknown magic is BadMagic (corrupt-trace) and
+ * any version but the supported one is BadVersion (unsupported).
+ */
+Status checkTraceHeader(const std::uint8_t *header,
+                        const std::string &path, TraceReadStats &stats);
+
 /**
  * Load @p path into @p out according to @p opts.
  *
@@ -198,7 +211,6 @@ class TraceFileReader : public TraceSource
     static Expected<std::unique_ptr<TraceFileReader>>
     open(const std::string &path, const TraceReadOptions &opts = {});
 
-    bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
     void reset() override { pos = 0; }
     std::string name() const override { return label; }

@@ -1,21 +1,15 @@
 #include "trace/mmap_trace.hh"
 
 #include <cerrno>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "trace/wire.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CCM_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define CCM_HAVE_MMAP 0
-#endif
 
 namespace ccm
 {
@@ -23,10 +17,7 @@ namespace ccm
 namespace
 {
 
-constexpr char packedMagic[8] = {'C', 'C', 'M', 'T', 'R', 'A', 'C',
-                                 'E'};
-constexpr std::uint32_t traceVersion = 1;
-constexpr std::size_t headerBytes = 16;
+constexpr std::size_t headerBytes = traceHeaderBytes;
 
 /** Bytes handed to simulation via the zero-copy lane, process-wide. */
 obs::Counter &
@@ -42,10 +33,8 @@ ingestBytesCounter()
 
 MappedTraceReader::~MappedTraceReader()
 {
-#if CCM_HAVE_MMAP
     if (map_)
         ::munmap(map_, mapBytes_);
-#endif
 }
 
 Status
@@ -73,7 +62,7 @@ MappedTraceReader::validateBody(const std::string &path)
 
     // Delta: the only way to prove every byte decodes is to decode it.
     // One sequential pass touches each page exactly once, and after it
-    // next()/nextBatch() can decode in place without a failure path.
+    // nextBatch() can decode in place without a failure path.
     delta::Codec codec;
     const std::uint8_t *p = body_;
     const std::uint8_t *end = body_ + bodyBytes_;
@@ -115,10 +104,6 @@ MappedTraceReader::open(const std::string &path,
             "mapped trace reader is strict: tolerant load options "
             "require TraceFileReader (", path, ")");
     }
-#if !CCM_HAVE_MMAP
-    return Status::unsupported("mmap is unavailable on this platform (",
-                               path, ")");
-#else
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         return Status::ioError("cannot open trace file: ", path, " (",
@@ -158,18 +143,8 @@ MappedTraceReader::open(const std::string &path,
     rd->label = path;
 
     const auto *base = static_cast<const std::uint8_t *>(map);
-    if (std::memcmp(base, delta::magic, 8) == 0) {
-        rd->stats_.encoding = TraceEncoding::Delta;
-    } else if (std::memcmp(base, packedMagic, 8) == 0) {
-        rd->stats_.encoding = TraceEncoding::Packed;
-    } else {
-        return Status::corruptTrace("bad trace magic in ", path);
-    }
-    const std::uint32_t ver = wire::loadLe32(base + 8);
-    if (ver != traceVersion) {
-        return Status::unsupported("unsupported trace version ", ver,
-                                   " in ", path);
-    }
+    if (Status s = checkTraceHeader(base, path, rd->stats_); !s.isOk())
+        return s;
     rd->body_ = base + headerBytes;
     rd->bodyBytes_ = fileBytes - headerBytes;
 
@@ -179,7 +154,6 @@ MappedTraceReader::open(const std::string &path,
 
     ingestBytesCounter().inc(fileBytes);
     return rd;
-#endif
 }
 
 void
@@ -188,12 +162,6 @@ MappedTraceReader::reset()
     nextIdx_ = 0;
     offset_ = 0;
     codec_.reset();
-}
-
-bool
-MappedTraceReader::next(MemRecord &out)
-{
-    return nextBatch(&out, 1) == 1;
 }
 
 std::size_t
@@ -237,8 +205,8 @@ openTraceMappedOrFile(const std::string &path,
             *usedMmap = true;
         return std::unique_ptr<TraceSource>(mapped.take().release());
     }
-    // Unsupported means "this lane can't apply" (tolerant options, no
-    // mmap): fall back silently.  Real defects (corrupt-trace,
+    // Unsupported means "this lane can't apply" (tolerant options):
+    // fall back silently.  Real defects (corrupt-trace,
     // io-error) would hit the file reader too — let it produce the
     // canonical message so both lanes report identically.
     if (usedMmap)

@@ -13,13 +13,13 @@
  * through the same wire.hh / delta.hh codecs as the copying reader,
  * so both lanes are byte-equivalent on any host.
  *
- * The mapped lane is strict by design: next() cannot return a Status,
- * so every defect must be caught while open() can still say no.
- * Tolerant options (corruption budget, truncated-tail tolerance)
+ * The mapped lane is strict by design: nextBatch() cannot return a
+ * Status, so every defect must be caught while open() can still say
+ * no.  Tolerant options (corruption budget, truncated-tail tolerance)
  * therefore report Unsupported here — openTraceMappedOrFile() is the
  * convenience wrapper that tries the mapping first and silently falls
- * back to TraceFileReader when mmap is unavailable (no such syscall,
- * tolerant options requested, or the map itself failed).
+ * back to TraceFileReader when the mapped lane says no (tolerant
+ * options requested, or the map itself failed).
  */
 
 #ifndef CCM_TRACE_MMAP_TRACE_HH
@@ -45,7 +45,7 @@ namespace ccm
  * magic, version, and every record boundary (plausibility bytes for
  * the packed encoding, a full decode pass for delta) — returning a
  * Status instead of crashing on truncated or corrupt input.  After a
- * successful open, next()/nextBatch() are infallible.
+ * successful open, nextBatch() is infallible.
  */
 class MappedTraceReader : public TraceSource
 {
@@ -64,7 +64,6 @@ class MappedTraceReader : public TraceSource
     MappedTraceReader(const MappedTraceReader &) = delete;
     MappedTraceReader &operator=(const MappedTraceReader &) = delete;
 
-    bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
     void reset() override;
     std::string name() const override { return label; }
@@ -101,7 +100,7 @@ class MappedTraceReader : public TraceSource
  * Open @p path for replay, preferring the zero-copy mapped lane.
  *
  * Tries MappedTraceReader first; when the mapping is not an option —
- * tolerant @p opts, a platform without mmap, or the map call failing —
+ * tolerant @p opts or the map call failing —
  * falls back to TraceFileReader::open with the same options.  Only
  * genuine trace defects propagate as errors; the fallback itself is
  * silent (@p usedMmap, when non-null, reports which lane won).

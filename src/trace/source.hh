@@ -2,7 +2,8 @@
  * @file
  * Abstract producer of MemRecords.  Workload generators, file readers
  * and in-memory traces all implement this interface; the core and the
- * functional experiment drivers consume it.
+ * functional experiment drivers consume it, usually through a
+ * BatchReader (trace/batch_reader.hh).
  */
 
 #ifndef CCM_TRACE_SOURCE_HH
@@ -23,38 +24,15 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next record.
-     *
-     * @param out filled in on success
-     * @retval true a record was produced
-     * @retval false the trace is exhausted
-     */
-    virtual bool next(MemRecord &out) = 0;
-
-    /**
-     * Produce up to @p n records into @p out, in stream order.
-     *
-     * Contract: the concatenation of successive nextBatch() results is
-     * the exact record sequence next() would have produced (mixing the
-     * two styles on one source is also allowed).  A return value of 0
-     * means the trace is exhausted; a short (nonzero) batch carries no
-     * end-of-trace meaning by itself, callers must pull again.
-     *
-     * The default loops over next(); implementations on the hot path
-     * override it to amortize the virtual call over the whole batch
-     * (bulk copies for in-memory traces, tight generation loops for
-     * the synthetic workloads).
+     * Produce up to @p n records (any @p n >= 1) into @p out, in
+     * stream order; successive calls continue where the last one
+     * stopped.  A return value of 0 means the trace is exhausted; a
+     * short (nonzero) batch carries no end-of-trace meaning by
+     * itself, callers must pull again.
      *
      * @return number of records produced (0 iff exhausted)
      */
-    virtual std::size_t
-    nextBatch(MemRecord *out, std::size_t n)
-    {
-        std::size_t got = 0;
-        while (got < n && next(out[got]))
-            ++got;
-        return got;
-    }
+    virtual std::size_t nextBatch(MemRecord *out, std::size_t n) = 0;
 
     /** Rewind to the beginning so the trace can be replayed. */
     virtual void reset() = 0;

@@ -20,15 +20,6 @@ VectorTrace::capture(TraceSource &src)
     return t;
 }
 
-bool
-VectorTrace::next(MemRecord &out)
-{
-    if (pos >= records_.size())
-        return false;
-    out = records_[pos++];
-    return true;
-}
-
 std::size_t
 VectorTrace::nextBatch(MemRecord *out, std::size_t n)
 {
@@ -69,15 +60,6 @@ VectorTrace::pushNonMem(std::size_t n)
         r.type = RecordType::NonMem;
         records_.push_back(r);
     }
-}
-
-bool
-RecordSpanTrace::next(MemRecord &out)
-{
-    if (pos >= count_)
-        return false;
-    out = data_[pos++];
-    return true;
 }
 
 std::size_t

@@ -33,7 +33,6 @@ class VectorTrace : public TraceSource
     /** Capture every record of @p src (which is reset first). */
     static VectorTrace capture(TraceSource &src);
 
-    bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
     void reset() override { pos = 0; }
     std::string name() const override { return label; }
@@ -83,7 +82,6 @@ class RecordSpanTrace : public TraceSource
                           recs.size())
     {}
 
-    bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
     void reset() override { pos = 0; }
     std::string name() const override { return label; }

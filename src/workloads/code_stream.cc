@@ -29,28 +29,6 @@ CodeStreamWorkload::CodeStreamWorkload(
     }
 }
 
-bool
-CodeStreamWorkload::next(MemRecord &out)
-{
-    if (emitted >= total)
-        return false;
-
-    const CodeFunction &f = funcs[seq[seqPos]];
-    Addr pc = f.entry + instrInFunc * 4;
-
-    out = MemRecord{};
-    out.pc = pc;
-    out.addr = pc;              // an I-fetch of this instruction
-    out.type = RecordType::Load;
-
-    ++emitted;
-    if (++instrInFunc >= f.instrs) {
-        instrInFunc = 0;
-        seqPos = (seqPos + 1) % seq.size();
-    }
-    return true;
-}
-
 std::size_t
 CodeStreamWorkload::nextBatch(MemRecord *out, std::size_t n)
 {

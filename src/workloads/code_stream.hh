@@ -47,7 +47,6 @@ class CodeStreamWorkload : public TraceSource
                        std::vector<unsigned> call_sequence,
                        std::size_t total_instrs);
 
-    bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
     void reset() override;
     std::string name() const override { return label; }

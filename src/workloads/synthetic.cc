@@ -36,12 +36,6 @@ SyntheticWorkload::emitOne(MemRecord &out)
     return true;
 }
 
-bool
-SyntheticWorkload::next(MemRecord &out)
-{
-    return emitOne(out);
-}
-
 std::size_t
 SyntheticWorkload::nextBatch(MemRecord *out, std::size_t n)
 {

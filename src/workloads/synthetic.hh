@@ -36,7 +36,6 @@ class SyntheticWorkload : public TraceSource
     SyntheticWorkload(std::string label, std::size_t mem_refs,
                       unsigned non_mem_per_mem, std::uint64_t seed);
 
-    bool next(MemRecord &out) final;
     std::size_t nextBatch(MemRecord *out, std::size_t n) final;
     void reset() final;
     std::string name() const override { return label_; }
@@ -80,7 +79,7 @@ class SyntheticWorkload : public TraceSource
     }
 
   private:
-    /** One generation step, shared by next()/nextBatch(). */
+    /** One generation step of nextBatch(). */
     bool emitOne(MemRecord &out);
 
     std::string label_;

@@ -1,11 +1,11 @@
 /**
  * @file
  * Batched trace-delivery contract tests: for every TraceSource
- * implementation, the concatenation of nextBatch() results must
- * equal the next() sequence, for any batch partitioning — including
- * across FileTrace resync points and fault-injection decisions.
- * Also covers the BatchReader adapter and the process-wide batch
- * size knob.
+ * implementation, the concatenation of nextBatch() results must be
+ * the same record sequence for any batch partitioning — including
+ * across FileTrace resync points and fault-injection decisions —
+ * with record-at-a-time pulls (nextBatch(out, 1)) as the reference.
+ * Also covers the BatchReader adapter.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "mt/interleave.hh"
 #include "trace/batch_reader.hh"
 #include "trace/fault_trace.hh"
 #include "trace/file_trace.hh"
@@ -34,17 +33,6 @@ sameRecord(const MemRecord &a, const MemRecord &b)
 {
     return a.pc == b.pc && a.addr == b.addr && a.type == b.type &&
            a.dependsOnPrevLoad == b.dependsOnPrevLoad;
-}
-
-std::vector<MemRecord>
-drainNext(TraceSource &src)
-{
-    src.reset();
-    std::vector<MemRecord> out;
-    MemRecord r;
-    while (src.next(r))
-        out.push_back(r);
-    return out;
 }
 
 std::vector<MemRecord>
@@ -68,14 +56,13 @@ drainBatched(TraceSource &src, std::size_t batch)
     return out;
 }
 
-/** Assert batched delivery matches next() for several partitions. */
+/** Assert every batch partition matches record-at-a-time delivery. */
 void
 expectBatchEquivalence(TraceSource &src)
 {
-    const std::vector<MemRecord> ref = drainNext(src);
-    for (std::size_t batch : {std::size_t{1}, std::size_t{3},
-                              std::size_t{64}, std::size_t{256},
-                              std::size_t{1000}}) {
+    const std::vector<MemRecord> ref = drainBatched(src, 1);
+    for (std::size_t batch : {std::size_t{3}, std::size_t{64},
+                              std::size_t{256}, std::size_t{1000}}) {
         const std::vector<MemRecord> got = drainBatched(src, batch);
         ASSERT_EQ(got.size(), ref.size())
             << src.name() << " batch " << batch;
@@ -83,21 +70,6 @@ expectBatchEquivalence(TraceSource &src)
             ASSERT_TRUE(sameRecord(got[i], ref[i]))
                 << src.name() << " batch " << batch << " record " << i;
         }
-    }
-    // Mixing styles mid-stream is allowed: one record via next(),
-    // the rest batched, must still concatenate to the same sequence.
-    src.reset();
-    MemRecord first;
-    if (src.next(first)) {
-        std::vector<MemRecord> mixed{first};
-        std::vector<MemRecord> buf(7);
-        std::size_t got;
-        while ((got = src.nextBatch(buf.data(), buf.size())) > 0)
-            mixed.insert(mixed.end(), buf.begin(),
-                         buf.begin() + static_cast<std::ptrdiff_t>(got));
-        ASSERT_EQ(mixed.size(), ref.size()) << src.name();
-        for (std::size_t i = 0; i < ref.size(); ++i)
-            ASSERT_TRUE(sameRecord(mixed[i], ref[i])) << src.name();
     }
 }
 
@@ -165,23 +137,7 @@ TEST(BatchEquivalence, FaultInjectingSourceTruncation)
     plan.truncateAfter = 700;   // not a multiple of any batch size
     FaultInjectingSource dirty(clean, plan);
     expectBatchEquivalence(dirty);
-    EXPECT_EQ(drainNext(dirty).size(), 700u);
-}
-
-TEST(BatchEquivalence, InterleavedTraceDefaultPath)
-{
-    // InterleavedTrace keeps the base-class record-at-a-time
-    // nextBatch (its consumers read per-record thread attribution),
-    // which must still satisfy the batch contract.
-    VectorTrace a;
-    VectorTrace b;
-    for (int i = 0; i < 100; ++i) {
-        a.pushLoad(Addr(0x1000 + 64 * i));
-        b.pushStore(Addr(0x100000 + 64 * i));
-    }
-    std::vector<TraceSource *> srcs{&a, &b};
-    InterleavedTrace t(srcs, 4);
-    expectBatchEquivalence(t);
+    EXPECT_EQ(drainBatched(dirty, 1).size(), 700u);
 }
 
 /** File-backed traces, including damaged ones. */
@@ -256,7 +212,7 @@ TEST_F(BatchFileTest, CorruptedFileResyncsAcrossBatchBoundaries)
 {
     // Mid-file garbage between records 5 and 6: the resync happens at
     // load time, so batch partitions that straddle the damaged region
-    // must deliver exactly the records the next() path delivers.
+    // must deliver exactly the records single-record pulls deliver.
     auto bytes = header();
     for (std::uint8_t i = 1; i <= 5; ++i)
         append(bytes, record(i));
@@ -283,34 +239,16 @@ TEST(BatchReaderTest, DeliversIdenticalStream)
 {
     auto wl = makeWorkload("swim", 2000, 3);
     VectorTrace t = VectorTrace::capture(*wl);
-    const std::vector<MemRecord> ref = drainNext(t);
+    const std::vector<MemRecord> ref = drainBatched(t, 1);
 
-    for (std::size_t batch : {std::size_t{1}, std::size_t{17},
-                              std::size_t{256}}) {
-        t.reset();
-        BatchReader reader(t, batch);
-        std::vector<MemRecord> got;
-        while (const MemRecord *r = reader.next())
-            got.push_back(*r);
-        ASSERT_EQ(got.size(), ref.size()) << "batch " << batch;
-        for (std::size_t i = 0; i < ref.size(); ++i)
-            ASSERT_TRUE(sameRecord(got[i], ref[i])) << "batch " << batch;
-    }
-}
-
-TEST(BatchReaderTest, BatchSizeKnobClampsAndRoundTrips)
-{
-    const std::size_t before = traceBatchSize();
-
-    setTraceBatchSize(17);
-    EXPECT_EQ(traceBatchSize(), 17u);
-    setTraceBatchSize(0);                // 0 means record-at-a-time
-    EXPECT_EQ(traceBatchSize(), 1u);
-    setTraceBatchSize(100000);           // clamped to the buffer size
-    EXPECT_EQ(traceBatchSize(), maxTraceBatch);
-
-    setTraceBatchSize(before);
-    EXPECT_EQ(traceBatchSize(), before);
+    t.reset();
+    BatchReader reader(t);
+    std::vector<MemRecord> got;
+    while (const MemRecord *r = reader.next())
+        got.push_back(*r);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_TRUE(sameRecord(got[i], ref[i])) << "record " << i;
 }
 
 } // namespace

@@ -20,7 +20,7 @@ TEST(CodeStream, EmitsSequentialPcs)
     w.reset();
     MemRecord r;
     std::vector<Addr> pcs;
-    while (w.next(r)) {
+    while (w.nextBatch(&r, 1) == 1) {
         EXPECT_EQ(r.pc, r.addr);   // I-fetch: address == pc
         EXPECT_TRUE(r.isLoad());
         pcs.push_back(r.pc);
@@ -38,7 +38,7 @@ TEST(CodeStream, CallSequenceAlternates)
     w.reset();
     MemRecord r;
     std::vector<Addr> pcs;
-    while (w.next(r))
+    while (w.nextBatch(&r, 1) == 1)
         pcs.push_back(r.pc);
     std::vector<Addr> expect = {0x1000, 0x1004, 0x8000, 0x8004,
                                 0x1000, 0x1004, 0x8000, 0x8004};
@@ -51,10 +51,10 @@ TEST(CodeStream, ResetReplays)
     w.reset();
     MemRecord r;
     std::vector<Addr> a, b;
-    while (w.next(r))
+    while (w.nextBatch(&r, 1) == 1)
         a.push_back(r.addr);
     w.reset();
-    while (w.next(r))
+    while (w.nextBatch(&r, 1) == 1)
         b.push_back(r.addr);
     EXPECT_EQ(a, b);
 }

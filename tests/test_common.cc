@@ -25,6 +25,7 @@
 #include "common/bitutil.hh"
 #include "common/log.hh"
 #include "common/logging.hh"
+#include "common/parse_num.hh"
 #include "common/random.hh"
 #include "common/sample_hash.hh"
 #include "common/shutdown.hh"
@@ -297,6 +298,45 @@ TEST(TextTableDeath, OutOfRangeCellPanics)
     t.addRow("r");
     EXPECT_DEATH(t.set(0, 5, "x"), "out of range");
     EXPECT_DEATH(t.set(3, 0, "x"), "out of range");
+}
+
+// ---- checked number parsing ----------------------------------------
+
+TEST(ParseNum, AcceptsOnlyDigits)
+{
+    auto v = parseU64("k", "4096");
+    ASSERT_TRUE(v.ok()) << v.status().toString();
+    EXPECT_EQ(v.value(), 4096u);
+    EXPECT_EQ(parseU64("k", "18446744073709551615").value(),
+              ~std::uint64_t{0});
+    for (const char *bad : {"", "abc", "12x", "-1", "+5", " 7", "1.5"}) {
+        auto r = parseU64("k", bad);
+        ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+        EXPECT_EQ(r.status().code(), ErrorCode::BadConfig) << bad;
+    }
+    Status big = parseU64("k", "18446744073709551616").status();
+    EXPECT_EQ(big.code(), ErrorCode::BadConfig);
+    EXPECT_NE(big.message().find("out of range"), std::string::npos);
+}
+
+TEST(ParseNum, StoreRejectsValuesThatDoNotFit)
+{
+    unsigned u = 7;
+    EXPECT_TRUE(storeChecked("k", 4294967295u, u).isOk());
+    EXPECT_EQ(u, 4294967295u);
+    // 2^32 + 2 would truncate to 2; the field keeps its old value.
+    Status s = storeChecked("k", 4294967298u, u);
+    EXPECT_EQ(s.code(), ErrorCode::BadConfig);
+    EXPECT_NE(s.message().find("out of range"), std::string::npos);
+    EXPECT_EQ(u, 4294967295u);
+
+    std::uint64_t bytes = 0;
+    EXPECT_TRUE(storeChecked("k", 32, bytes, 1024).isOk());
+    EXPECT_EQ(bytes, 32u * 1024);
+    // 2^54 KB would wrap to 0 bytes.
+    EXPECT_FALSE(storeChecked("k", std::uint64_t{1} << 54, bytes, 1024)
+                     .isOk());
+    EXPECT_EQ(bytes, 32u * 1024);
 }
 
 // ---- capability-annotated sync layer -------------------------------

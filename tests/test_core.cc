@@ -3,7 +3,8 @@
  * Tests for the out-of-order core timing model: width limits, window
  * blocking, load/store unit limits, dependent-load serialization, and
  * a differential check of Core::run against a frozen reference loop
- * over random core shapes, machines and trace delivery batch sizes.
+ * over random core shapes, every timing machine and trace delivery
+ * batch sizes.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include "common/random.hh"
 #include "cpu/core.hh"
 #include "sim/experiment.hh"
-#include "trace/batch_reader.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
@@ -196,15 +196,16 @@ TEST(Core, PipelineFillAddsStartupCycles)
 // ---- Differential: Core::run vs a frozen reference loop ------------
 
 /**
- * The core loop as first written: one record at a time through the
- * virtual next(), `%` wrap on the window, config read in place.  Any
- * rewrite of Core::run must reproduce it exactly.
+ * The core loop as first written: one record at a time, `%` wrap on
+ * the window, config read in place.  Any rewrite of Core::run must
+ * reproduce it exactly.
  */
 SimResult
-referenceRun(const CoreConfig &cfg, TraceSource &trace,
+referenceRun(const CoreConfig &cfg, const VectorTrace &trace,
              MemorySystem &mem)
 {
-    trace.reset();
+    const std::vector<MemRecord> &recs = trace.records();
+    std::size_t next_rec = 0;
     Pcg32 wp_rng(0xbadb07);
     Addr last_mem_addr = 0;
     std::vector<Cycle> rob(cfg.robSize, 0);
@@ -216,7 +217,9 @@ referenceRun(const CoreConfig &cfg, TraceSource &trace,
     Cycle last_load_complete = 0;
 
     MemRecord rec;
-    bool have = trace.next(rec);
+    bool have = next_rec < recs.size();
+    if (have)
+        rec = recs[next_rec++];
     while (have || count > 0) {
         unsigned retired = 0;
         while (count > 0 && retired < cfg.retireWidth &&
@@ -263,7 +266,9 @@ referenceRun(const CoreConfig &cfg, TraceSource &trace,
             ++count;
             ++instrs;
             ++dispatched;
-            have = trace.next(rec);
+            have = next_rec < recs.size();
+            if (have)
+                rec = recs[next_rec++];
         }
         bool blocked = count > 0 && rob[head] > now &&
                        (count == cfg.robSize || !have);
@@ -284,19 +289,22 @@ referenceRun(const CoreConfig &cfg, TraceSource &trace,
     return res;
 }
 
-/** A VectorTrace whose nextBatch() hands out 1-3 records at a time. */
+/**
+ * A VectorTrace whose nextBatch() hands out at most @p cap records at
+ * a time, or a random 1-3 when @p cap is 0.
+ */
 class ShortBatchTrace : public TraceSource
 {
   public:
-    explicit ShortBatchTrace(const VectorTrace &t) : inner(t) {}
-
-    bool next(MemRecord &out) override { return inner.next(out); }
+    ShortBatchTrace(const VectorTrace &t, std::size_t cap)
+        : inner(t), cap_(cap)
+    {}
 
     std::size_t
     nextBatch(MemRecord *out, std::size_t n) override
     {
-        return inner.nextBatch(out, std::min<std::size_t>(
-                                        n, 1 + rng.below(3)));
+        const std::size_t most = cap_ != 0 ? cap_ : 1 + rng.below(3);
+        return inner.nextBatch(out, std::min(n, most));
     }
 
     void
@@ -310,6 +318,7 @@ class ShortBatchTrace : public TraceSource
 
   private:
     VectorTrace inner;
+    std::size_t cap_;
     Pcg32 rng{3};
 };
 
@@ -341,6 +350,18 @@ expectSameRun(const SimResult &a, const MemStats &ma,
     });
 }
 
+void
+expectSameHistograms(const SetHistograms &a, const SetHistograms &b,
+                     const std::string &where)
+{
+    EXPECT_EQ(a.sets, b.sets) << where;
+    EXPECT_EQ(a.l1Misses, b.l1Misses) << where << " l1 misses";
+    EXPECT_EQ(a.l1Evictions, b.l1Evictions) << where << " l1 evictions";
+    EXPECT_EQ(a.mctLookups, b.mctLookups) << where << " mct lookups";
+    EXPECT_EQ(a.mctConflicts, b.mctConflicts)
+        << where << " mct conflicts";
+}
+
 TEST(CoreDifferential, MatchesReferenceLoop)
 {
     const std::vector<std::string> workloads = {
@@ -348,8 +369,10 @@ TEST(CoreDifferential, MatchesReferenceLoop)
     const std::vector<std::pair<const char *, SystemConfig>> machines = {
         {"baseline", baselineConfig()},
         {"victim", victimConfig(true, true)},
+        {"prefetch", prefetchConfig(true)},
+        {"exclude", excludeConfig(ExcludeAlgo::Capacity)},
+        {"pseudo", pseudoConfig(true)},
         {"amb", ambConfig(true, true, true)}};
-    const std::size_t saved_batch = traceBatchSize();
 
     Pcg32 rng(2024);
     int runs = 0;
@@ -369,28 +392,31 @@ TEST(CoreDifferential, MatchesReferenceLoop)
                     " wp=" + std::to_string(core.wrongPathRate);
                 MemorySystem ref_mem(sys.mem);
                 SimResult ref = referenceRun(core, trace, ref_mem);
+                const SetHistograms ref_heat = ref_mem.setHistograms();
 
-                for (std::size_t batch : {1, 7, 256}) {
-                    setTraceBatchSize(batch);
+                auto check = [&](TraceSource &delivery,
+                                 const std::string &how) {
                     MemorySystem mem(sys.mem);
-                    SimResult got = Core(core).run(trace, mem);
+                    SimResult got = Core(core).run(delivery, mem);
                     expectSameRun(got, mem.stats(), ref, ref_mem.stats(),
-                                  where + " batch=" +
-                                      std::to_string(batch));
+                                  where + how);
+                    expectSameHistograms(mem.setHistograms(), ref_heat,
+                                         where + how);
                     ++runs;
+                };
+                // Full batches, batches capped at 1 and 7 records, and
+                // random 1-3 record batches.
+                check(trace, " full batches");
+                for (std::size_t cap : {1, 7}) {
+                    ShortBatchTrace capped(trace, cap);
+                    check(capped, " batch cap=" + std::to_string(cap));
                 }
-                setTraceBatchSize(maxTraceBatch);
-                ShortBatchTrace shorty(trace);
-                MemorySystem mem(sys.mem);
-                SimResult got = Core(core).run(shorty, mem);
-                expectSameRun(got, mem.stats(), ref, ref_mem.stats(),
-                              where + " short batches");
-                ++runs;
+                ShortBatchTrace shorty(trace, 0);
+                check(shorty, " short batches");
             }
         }
     }
-    setTraceBatchSize(saved_batch);
-    EXPECT_EQ(runs, 8 * 6 * 3 * 4);
+    EXPECT_EQ(runs, 8 * 6 * 6 * 4);
 }
 
 } // namespace

@@ -206,7 +206,7 @@ TEST_F(CorruptTraceTest, PartialTailToleratedIsEndOfTrace)
     EXPECT_EQ(stats.bytesSkipped, 17u);
 
     MemRecord r;
-    ASSERT_TRUE(rd.value()->next(r));
+    ASSERT_EQ(rd.value()->nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x1111111111111111u);
 }
 
@@ -249,9 +249,9 @@ TEST_F(CorruptTraceTest, MidFileGarbageResyncsWithinBudget)
 
     // Resync landed exactly on the next true record.
     MemRecord r;
-    ASSERT_TRUE(rd.value()->next(r));
+    ASSERT_EQ(rd.value()->nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x1111111111111111u);
-    ASSERT_TRUE(rd.value()->next(r));
+    ASSERT_EQ(rd.value()->nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x2222222222222222u);
     EXPECT_TRUE(r.isStore());
 }
@@ -345,7 +345,7 @@ drain(TraceSource &src)
 {
     std::vector<MemRecord> out;
     MemRecord r;
-    while (src.next(r))
+    while (src.nextBatch(&r, 1) == 1)
         out.push_back(r);
     return out;
 }

@@ -36,7 +36,7 @@ TEST(Golden, WorkloadStreamsAreFrozen)
     wl->reset();
     MemRecord r;
     std::vector<Addr> mem_addrs;
-    while (wl->next(r)) {
+    while (wl->nextBatch(&r, 1) == 1) {
         if (r.isMem())
             mem_addrs.push_back(r.addr);
     }

@@ -32,12 +32,12 @@ TEST(Interleave, RoundRobinGranularity)
     InterleavedTrace t(kids, 2);
     t.reset();
 
-    MemRecord r;
+    unsigned tid = 0;
     std::vector<unsigned> producers;
     std::vector<Addr> addrs;
-    while (t.next(r)) {
-        producers.push_back(t.lastThread());
-        addrs.push_back(r.addr);
+    while (const MemRecord *r = t.next(tid)) {
+        producers.push_back(tid);
+        addrs.push_back(r->addr);
     }
     ASSERT_EQ(producers.size(), 8u);
     std::vector<unsigned> expect = {0, 0, 1, 1, 0, 0, 1, 1};
@@ -53,11 +53,14 @@ TEST(Interleave, UnevenLengthsDrainFully)
     std::vector<TraceSource *> kids = {&a, &b};
     InterleavedTrace t(kids, 3);
     t.reset();
-    MemRecord r;
-    std::size_t n = 0;
-    while (t.next(r))
-        ++n;
-    EXPECT_EQ(n, 12u);
+    unsigned tid = 0;
+    std::vector<unsigned> producers;
+    while (t.next(tid))
+        producers.push_back(tid);
+    // Once the short thread drains mid-turn, the long one takes every
+    // remaining turn.
+    std::vector<unsigned> expect = {0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0};
+    EXPECT_EQ(producers, expect);
 }
 
 TEST(Interleave, ResetReplays)
@@ -66,13 +69,13 @@ TEST(Interleave, ResetReplays)
     std::vector<TraceSource *> kids = {&a};
     InterleavedTrace t(kids, 1);
     t.reset();
-    MemRecord r;
+    unsigned tid = 0;
     std::size_t n1 = 0;
-    while (t.next(r))
+    while (t.next(tid))
         ++n1;
     t.reset();
     std::size_t n2 = 0;
-    while (t.next(r))
+    while (t.next(tid))
         ++n2;
     EXPECT_EQ(n1, n2);
 }

@@ -438,6 +438,13 @@ TEST(ServeConfig, ParsesKeysCommentsAndBlankLines)
     EXPECT_EQ(cfg.value().limits.policy, serve::OverflowPolicy::Shed);
     EXPECT_EQ(cfg.value().limits.defectBudget, 5u);
     EXPECT_EQ(cfg.value().limits.windowEvery, 10000u);
+
+    // arch applies first wherever it appears: a geometry key above it
+    // is not reset to the arch's defaults.
+    auto late = serve::parseServeConfig("l1-kb 32\narch victim");
+    ASSERT_TRUE(late.ok()) << late.status().toString();
+    EXPECT_EQ(late.value().arch, "victim");
+    EXPECT_EQ(late.value().system.mem.l1Bytes, 32u * 1024);
 }
 
 TEST(ServeConfig, RejectsUnknownKeysAndBadValues)

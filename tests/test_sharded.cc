@@ -243,7 +243,7 @@ expectSameRecords(const std::vector<MemRecord> &ref, TraceSource &got)
 {
     MemRecord r;
     std::size_t i = 0;
-    while (got.next(r)) {
+    while (got.nextBatch(&r, 1) == 1) {
         ASSERT_LT(i, ref.size());
         EXPECT_EQ(ref[i].pc, r.pc) << "record " << i;
         EXPECT_EQ(ref[i].addr, r.addr) << "record " << i;
@@ -383,9 +383,9 @@ TEST_F(MappedTraceTest, OpenMappedOrFileFallsBackForTolerantOpts)
     // Both lanes still deliver the same stream.
     std::vector<MemRecord> a, b;
     MemRecord r;
-    while (strict.value()->next(r))
+    while (strict.value()->nextBatch(&r, 1) == 1)
         a.push_back(r);
-    while (fallback.value()->next(r))
+    while (fallback.value()->nextBatch(&r, 1) == 1)
         b.push_back(r);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)

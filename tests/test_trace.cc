@@ -74,16 +74,16 @@ TEST(VectorTrace, PushAndReplay)
     EXPECT_EQ(t.size(), 4u);
 
     MemRecord r;
-    ASSERT_TRUE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x100u);
     EXPECT_TRUE(r.isLoad());
-    ASSERT_TRUE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x200u);
     EXPECT_TRUE(r.isStore());
-    ASSERT_TRUE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
     EXPECT_FALSE(r.isMem());
-    ASSERT_TRUE(t.next(r));
-    EXPECT_FALSE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
+    EXPECT_EQ(t.nextBatch(&r, 1), 0u);
 }
 
 TEST(VectorTrace, ResetReplaysFromStart)
@@ -91,10 +91,10 @@ TEST(VectorTrace, ResetReplaysFromStart)
     VectorTrace t;
     t.pushLoad(0xAAA);
     MemRecord r;
-    ASSERT_TRUE(t.next(r));
-    ASSERT_FALSE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
+    ASSERT_EQ(t.nextBatch(&r, 1), 0u);
     t.reset();
-    ASSERT_TRUE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0xAAAu);
 }
 
@@ -103,7 +103,7 @@ TEST(VectorTrace, ExplicitPcIsKept)
     VectorTrace t;
     t.pushLoad(0x100, 0x42);
     MemRecord r;
-    ASSERT_TRUE(t.next(r));
+    ASSERT_EQ(t.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.pc, 0x42u);
 }
 
@@ -165,16 +165,16 @@ TEST_F(TraceFileTest, RoundTripPreservesRecords)
     TraceFileReader rd(path);
     EXPECT_EQ(rd.size(), 2u);
     MemRecord r;
-    ASSERT_TRUE(rd.next(r));
+    ASSERT_EQ(rd.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.pc, 0x1000u);
     EXPECT_EQ(r.addr, 0xdeadbeefu);
     EXPECT_TRUE(r.isLoad());
     EXPECT_TRUE(r.dependsOnPrevLoad);
-    ASSERT_TRUE(rd.next(r));
+    ASSERT_EQ(rd.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x12345678u);
     EXPECT_TRUE(r.isStore());
     EXPECT_FALSE(r.dependsOnPrevLoad);
-    EXPECT_FALSE(rd.next(r));
+    EXPECT_EQ(rd.nextBatch(&r, 1), 0u);
 }
 
 TEST_F(TraceFileTest, WriteAllDrainsASource)
@@ -190,7 +190,7 @@ TEST_F(TraceFileTest, WriteAllDrainsASource)
     EXPECT_EQ(rd.size(), 100u);
     MemRecord r;
     for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(rd.next(r));
+        ASSERT_EQ(rd.nextBatch(&r, 1), 1u);
         EXPECT_EQ(r.addr, 0x1000u + i * 64);
     }
 }
@@ -206,10 +206,10 @@ TEST_F(TraceFileTest, ReaderResets)
     }
     TraceFileReader rd(path);
     MemRecord r;
-    ASSERT_TRUE(rd.next(r));
-    ASSERT_FALSE(rd.next(r));
+    ASSERT_EQ(rd.nextBatch(&r, 1), 1u);
+    ASSERT_EQ(rd.nextBatch(&r, 1), 0u);
     rd.reset();
-    ASSERT_TRUE(rd.next(r));
+    ASSERT_EQ(rd.nextBatch(&r, 1), 1u);
     EXPECT_EQ(r.addr, 0x40u);
 }
 

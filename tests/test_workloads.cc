@@ -28,7 +28,7 @@ drain(TraceSource &src)
     src.reset();
     std::vector<MemRecord> out;
     MemRecord r;
-    while (src.next(r))
+    while (src.nextBatch(&r, 1) == 1)
         out.push_back(r);
     return out;
 }
@@ -118,7 +118,7 @@ TEST_P(WorkloadProperty, MemRecordsHaveAddresses)
     auto wl = make();
     MemRecord r;
     wl->reset();
-    while (wl->next(r)) {
+    while (wl->nextBatch(&r, 1) == 1) {
         if (r.isMem()) {
             EXPECT_GE(r.addr, 0x40000000u);  // inside a region
             EXPECT_NE(r.pc, 0u);
@@ -132,7 +132,7 @@ TEST_P(WorkloadProperty, MixesLoadsAndNonMem)
     std::size_t loads = 0, nonmem = 0;
     MemRecord r;
     wl->reset();
-    while (wl->next(r)) {
+    while (wl->nextBatch(&r, 1) == 1) {
         if (r.isLoad())
             ++loads;
         else if (!r.isMem())
@@ -156,7 +156,7 @@ TEST(Tomcatv, PingArraysCollideMod16And64K)
     MemRecord r;
     // Collect ping-phase addresses (relaxation pcs are < 0x1200).
     std::vector<Addr> a0, a1;
-    while (wl.next(r)) {
+    while (wl.nextBatch(&r, 1) == 1) {
         if (!r.isMem())
             continue;
         if (r.pc == 0x1000)
@@ -181,7 +181,7 @@ TEST(Swim, StreamsAreUnitStrideAndSkewed)
     MemRecord r;
     Addr prev0 = 0;
     bool first = true;
-    while (wl.next(r)) {
+    while (wl.nextBatch(&r, 1) == 1) {
         if (!r.isMem())
             continue;
         if (r.pc == 0x2000) {   // array 0 loads
@@ -201,7 +201,7 @@ TEST(Li, ChaseLoadsDependOnPreviousLoad)
     wl.reset();
     MemRecord r;
     std::size_t dependent = 0, total = 0;
-    while (wl.next(r)) {
+    while (wl.nextBatch(&r, 1) == 1) {
         if (!r.isMem())
             continue;
         ++total;
@@ -217,7 +217,7 @@ TEST(Gcc, HasDependentChainAndStores)
     wl.reset();
     MemRecord r;
     bool saw_dep = false, saw_store = false;
-    while (wl.next(r)) {
+    while (wl.nextBatch(&r, 1) == 1) {
         saw_dep |= r.dependsOnPrevLoad;
         saw_store |= r.isStore();
     }
@@ -231,7 +231,7 @@ TEST(Vortex, MetaAndLogCollide)
     wl.reset();
     MemRecord r;
     Addr meta = invalidAddr;
-    while (wl.next(r)) {
+    while (wl.nextBatch(&r, 1) == 1) {
         if (!r.isMem())
             continue;
         if (r.pc == 0xc000)
@@ -248,7 +248,7 @@ TEST(Wave5, GatherStaysInGrid)
     Wave5Like wl(5000, 1, 1024 * 1024);
     wl.reset();
     MemRecord r;
-    while (wl.next(r)) {
+    while (wl.nextBatch(&r, 1) == 1) {
         if (r.isMem() && r.pc == 0x6004) {
             // Gathers land within the configured 1MB grid.
             Addr grid_lo = 0x40000000ULL + 6 * 0x04000000ULL;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/parse_num.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "hierarchy/memsys.hh"
@@ -72,9 +73,9 @@ struct Options
     unsigned mctDepth = 1;
 
     // cache geometry
-    std::size_t l1Kb = 16;
+    std::size_t l1Bytes = 16 * 1024;
     unsigned l1Assoc = 1;
-    std::size_t l2Kb = 1024;
+    std::size_t l2Bytes = 1024 * 1024;
     unsigned bufEntries = 8;
     unsigned mctTagBits = 0;
 
@@ -328,12 +329,12 @@ buildConfig(const Options &o)
         std::exit(1);
     }
 
-    cfg.mem.l1Bytes = o.l1Kb * 1024;
+    cfg.mem.l1Bytes = o.l1Bytes;
     if (o.arch == "twoway")
         cfg.mem.l1Assoc = 2;
     else if (o.arch != "pseudo" && o.arch != "pseudo-lru")
         cfg.mem.l1Assoc = o.l1Assoc;
-    cfg.mem.l2Bytes = o.l2Kb * 1024;
+    cfg.mem.l2Bytes = o.l2Bytes;
     cfg.mem.bufEntries = o.bufEntries;
     cfg.mem.mctTagBits = o.mctTagBits;
     return cfg;
@@ -479,7 +480,7 @@ ShardedClassifyConfig
 buildClassifyConfig(const Options &o)
 {
     ShardedClassifyConfig cfg;
-    cfg.cacheBytes = o.l1Kb * 1024;
+    cfg.cacheBytes = o.l1Bytes;
     cfg.assoc = o.l1Assoc;
     cfg.mctTagBits = o.mctTagBits;
     cfg.mctDepth = o.mctDepth;
@@ -716,6 +717,18 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Unsigned flags: a value that is not a number, or that does not
+        // fit its field once scaled, is one bad-config line and exit 1.
+        auto num = [&](auto &field, std::uint64_t scale = 1) {
+            auto v = ccm::parseU64(a, val());
+            const ccm::Status s =
+                v.ok() ? ccm::storeChecked(a, v.value(), field, scale)
+                       : v.status();
+            if (!s.isOk()) {
+                CCM_LOG_ERROR(s.toString());
+                std::exit(1);
+            }
+        };
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
@@ -732,38 +745,33 @@ main(int argc, char **argv)
         } else if (a == "--trace-dir") {
             o.traceDir = val();
         } else if (a == "--budget") {
-            o.budget = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.budget);
         } else if (a == "--tolerate-truncation") {
             o.tolerateTruncation = true;
         } else if (a == "--jobs") {
-            o.jobs = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.jobs);
         } else if (a == "--classify") {
             o.classify = true;
         } else if (a == "--shards") {
-            o.shards = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            num(o.shards);
         } else if (a == "--mct-depth") {
-            o.mctDepth = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            num(o.mctDepth);
         } else if (a == "--refs") {
-            o.refs = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.refs);
         } else if (a == "--seed") {
-            o.seed = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.seed);
         } else if (a == "--arch") {
             o.arch = val();
         } else if (a == "--l1-kb") {
-            o.l1Kb = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.l1Bytes, 1024);
         } else if (a == "--l1-assoc") {
-            o.l1Assoc = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            num(o.l1Assoc);
         } else if (a == "--l2-kb") {
-            o.l2Kb = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.l2Bytes, 1024);
         } else if (a == "--buf-entries") {
-            o.bufEntries = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            num(o.bufEntries);
         } else if (a == "--mct-bits") {
-            o.mctTagBits = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            num(o.mctTagBits);
         } else if (a == "--filter") {
             o.filter = val();
         } else if (a == "--filter-swaps") {
@@ -787,8 +795,7 @@ main(int argc, char **argv)
         } else if (a == "--sample-rate") {
             o.sampleRate = std::strtod(val().c_str(), nullptr);
         } else if (a == "--sample-intervals") {
-            o.sampleIntervals =
-                std::strtoull(val().c_str(), nullptr, 10);
+            num(o.sampleIntervals);
         } else if (a == "--sample-exact") {
             o.sampleExact = true;
         } else if (a == "--auto-size") {
@@ -819,9 +826,9 @@ main(int argc, char **argv)
             }
             o.statsFormat = f.value();
         } else if (a == "--interval") {
-            o.interval = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.interval);
         } else if (a == "--trace-events") {
-            o.traceEvents = std::strtoull(val().c_str(), nullptr, 10);
+            num(o.traceEvents);
         } else if (a == "--trace-spans") {
             o.traceSpans = val();
         } else if (a == "--log-level") {

@@ -107,8 +107,7 @@ cmdInfo(int argc, char **argv)
     TraceFileReader rd(argv[2]);
     std::size_t loads = 0, stores = 0, nonmem = 0, deps = 0;
     Addr lo = invalidAddr, hi = 0;
-    MemRecord r;
-    while (rd.next(r)) {
+    for (const MemRecord &r : rd.records()) {
         if (r.isLoad())
             ++loads;
         else if (r.isStore())
